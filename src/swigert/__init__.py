@@ -21,12 +21,9 @@ from .asymptotics import (
 from .diophantine import (
     DiophantineWitness,
     PairedWitness,
-    RationalLattice,
     cf_convergents,
     chi,
-    frac_split,
-    joint_progression,
-    lattice_of_rational,
+    lattice_progression,
     witness_search,
     witness_search_pair,
 )
@@ -50,12 +47,11 @@ from .qcore import (
     PochTailRemainders,
     QParam,
     poch_tail_remainders,
-    qbinom,
     qpoch_finite,
     qpoch_infinite,
     qq_infinity,
 )
-from .qspecial import Aq_derivative, Bq, ThetaArg, ramanujan_Aq, theta_product, theta_series
+from .qspecial import Aq_derivative, Bq, ramanujan_Aq, theta_product, theta_series
 from .scaling import RealParam, Scaling
 from .swpoly import (
     SplitSumResult,

@@ -2,11 +2,21 @@
 
 The normalized polynomial value has seven asymptotic regimes, selected by
 the sign of tau and the arithmetic nature (rational vs irrational) of tau
-and theta.  For each regime this module evaluates the predicted main term
-(1, the entire series A_q at a phase-twisted argument, or a bilateral theta
-value whose argument carries the parity character of m = floor(-tau n)),
-the explicit error bound with its regime-specific truncation depth nu_n,
-and exact-vs-asymptotic verification rows over a supplied index sweep.
+and theta.  Each regime is described once, by a record in ``_REGIMES``:
+
+* ``targets`` - the main-term parameters: none (the limit is 1), one (the
+  phase of the entire series A_q at e^(2 pi i target)/z), or two, the
+  offsets (u, v) of the theta value at -z q^(chi(m)+u) e^(-2 pi i v), whose
+  argument carries the parity character of m = floor(-tau n);
+* ``pins`` - exact lattice conditions {axis n} = param on rational axes;
+* ``witnesses`` - approximation conditions dist(axis n - param, Z) < n^-rho
+  on irrational axes, one searched singly or two as a pair.
+
+An axis is ``"theta"`` or ``"-tau"``.  The required parameters, the index
+source (a range, a lattice progression or a witness search), the
+admissible filter, the witness carried by each row, the kind of truncation
+depth nu_n and the form of the main term all follow from these three
+fields; only the error budget keeps one formula per regime family.
 
 The asymptotic statements hold from some unquantified index onward;
 ``summarize_rows`` therefore reports the empirical n beyond which every
@@ -26,8 +36,7 @@ from typing import Optional, Sequence
 from .diophantine import (
     DiophantineWitness,
     chi,
-    joint_progression,
-    lattice_of_rational,
+    lattice_progression,
     witness_search,
     witness_search_pair,
 )
@@ -39,15 +48,52 @@ from .swpoly import sw_normalized, sw_theta_normalized
 
 _CONST_TOL = 1e-13
 
-_REQUIRED = {
-    1: (),
-    2: ("lambda_",),
-    3: ("beta", "rho"),
-    4: ("lambda_", "lambda1"),
-    5: ("lambda_", "beta", "rho"),
-    6: ("lambda_", "beta", "rho"),
-    7: ("beta1", "beta2", "rho"),
+# CaseParams fields a regime may require, in the order they are checked.
+_PARAM_NAMES = ("lambda_", "lambda1", "beta", "beta1", "beta2", "rho")
+
+
+@dataclass(frozen=True)
+class _Regime:
+    """One asymptotic regime: main-term parameters, lattice pins, witness conditions."""
+
+    targets: tuple[str, ...]
+    pins: tuple[tuple[str, str], ...] = ()
+    witnesses: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        used = set(self.targets) | {name for _, name in self.pins + self.witnesses}
+        if self.witnesses:
+            used.add("rho")
+        return tuple(name for name in _PARAM_NAMES if name in used)
+
+
+_REGIMES = {
+    1: _Regime(()),
+    2: _Regime(("lambda_",), pins=(("theta", "lambda_"),)),
+    3: _Regime(("beta",), witnesses=(("theta", "beta"),)),
+    4: _Regime(("lambda_", "lambda1"), pins=(("-tau", "lambda_"), ("theta", "lambda1"))),
+    5: _Regime(("lambda_", "beta"), pins=(("-tau", "lambda_"),), witnesses=(("theta", "beta"),)),
+    6: _Regime(("beta", "lambda_"), pins=(("theta", "lambda_"),), witnesses=(("-tau", "beta"),)),
+    7: _Regime(("beta1", "beta2"), witnesses=(("-tau", "beta1"), ("theta", "beta2"))),
 }
+
+
+def _regime(case_id: int) -> _Regime:
+    if case_id not in _REGIMES:
+        raise MissingParam(f"case_id must be 1..7, got {case_id}")
+    return _REGIMES[case_id]
+
+
+def _axis(scaling: Scaling, axis: str) -> tuple[Optional[Fraction], float]:
+    """(exact fraction or None, double) of the orbit step theta or -tau."""
+    param, sign = (scaling.theta, 1) if axis == "theta" else (scaling.tau, -1)
+    return (None if param.fraction is None else sign * param.fraction), sign * param.value
+
+
+def _pins(reg: _Regime, params: CaseParams) -> list:
+    """(exact step, target) of each lattice pin of the regime."""
+    return [(_axis(params.scaling, axis)[0], getattr(params, name)) for axis, name in reg.pins]
 
 
 @dataclass(frozen=True)
@@ -64,12 +110,10 @@ class CaseParams:
     rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.case_id not in _REQUIRED:
-            raise MissingParam(f"case_id must be 1..7, got {self.case_id}")
-        for name in _REQUIRED[self.case_id]:
+        for name in _regime(self.case_id).required:
             if getattr(self, name) is None:
                 raise MissingParam(f"case {self.case_id} requires parameter {name.rstrip('_')}")
-        for name in ("lambda_", "lambda1", "beta", "beta1", "beta2"):
+        for name in _PARAM_NAMES[:-1]:
             v = getattr(self, name)
             if v is not None and not (0 <= float(v) < 1):
                 raise MissingParam(f"{name.rstrip('_')} must lie in [0, 1), got {v!r}")
@@ -138,10 +182,13 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
     Linear in n for the doubly rational strip regime, log^2 n for the
     regimes driven by a Diophantine witness, unused (0) otherwise.
     """
+    reg = _regime(case_id)
     qv = QParam.of(q).q
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    if case_id == 4:
+    if reg.witnesses:
+        return math.floor(qv**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / qv)))
+    if len(reg.targets) == 2:
         if scaling.tau.is_rational:
             t = scaling.tau.fraction
             a = (2 + t) * n / 8
@@ -149,8 +196,6 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
             return min(a.numerator // a.denominator, b.numerator // b.denominator)
         t = scaling.tau.value
         return min(math.floor((2.0 + t) * n / 8.0), math.floor(-t * n / 8.0))
-    if case_id in (3, 5, 6, 7):
-        return math.floor(qv**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / qv)))
     return 0
 
 
@@ -185,7 +230,7 @@ def _safe_exp(x: float) -> float:
     return math.exp(x) if x > -745.0 else 0.0
 
 
-def main_term(case_id: int, params: CaseParams, z, q, tol: float = _CONST_TOL, m: Optional[int] = None) -> complex:
+def main_term(case_id: int, params: CaseParams, z, q, m: Optional[int] = None) -> complex:
     """Predicted limit of the normalized value for the regime.
 
     The strip regimes (4..7) need the index-dependent integer m, since the
@@ -193,35 +238,21 @@ def main_term(case_id: int, params: CaseParams, z, q, tol: float = _CONST_TOL, m
     """
     qv = QParam.of(q).q
     zc = complex(z)
-    if case_id == 1:
+    targets = [float(getattr(params, name)) for name in _regime(case_id).targets]
+    if not targets:
         return complex(1.0)
-    if case_id == 2:
-        return _aq_main(_exp_2pii(float(params.lambda_)) / zc, qv)
-    if case_id == 3:
-        return _aq_main(_exp_2pii(float(params.beta)) / zc, qv)
-    if case_id in (4, 5, 6, 7):
-        if m is None:
-            raise MissingParam(f"case {case_id} main term needs the integer m for chi(m)")
-        u, v = _theta_targets(case_id, params)
-        w = -zc * qv ** (chi(m) + u) * _exp_2pii(-v)
-        return _theta_main(w, qv)
-    raise MissingParam(f"case_id must be 1..7, got {case_id}")
+    if len(targets) == 1:
+        return _aq_main(_exp_2pii(targets[0]) / zc, qv)
+    if m is None:
+        raise MissingParam(f"case {case_id} main term needs the integer m for chi(m)")
+    u, v = targets
+    w = -zc * qv ** (chi(m) + u) * _exp_2pii(-v)
+    return _theta_main(w, qv)
 
 
 def _exp_2pii(t: float) -> complex:
     """exp(2 pi i t)."""
     return cmath.exp(complex(0.0, 2.0 * math.pi * t))
-
-
-def _theta_targets(case_id: int, params: CaseParams) -> tuple[float, float]:
-    """(u, v) such that the theta argument is -z q^(chi(m)+u) e^(-2 pi i v)."""
-    if case_id == 4:
-        return float(params.lambda_), float(params.lambda1)
-    if case_id == 5:
-        return float(params.lambda_), float(params.beta)
-    if case_id == 6:
-        return float(params.beta), float(params.lambda_)
-    return float(params.beta1), float(params.beta2)
 
 
 def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
@@ -259,9 +290,7 @@ def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     shrink = _safe_exp(nu * nu * lnq / 2.0 - nu * math.log(az))
     if case_id == 4:
         return 6.0 * coeff * (qv**nu + grow + shrink)
-    if case_id in (5, 6, 7):
-        return 54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n ** params.rho)
-    raise MissingParam(f"case_id must be 1..7, got {case_id}")
+    return 54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n ** params.rho)
 
 
 def _matches_frac(value: Fraction, target) -> bool:
@@ -273,62 +302,41 @@ def _matches_frac(value: Fraction, target) -> bool:
 def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -> list[int]:
     """Filter a candidate list down to the indices the regime statement covers.
 
-    Rational-lattice regimes pin {n theta} (and {-tau n}) to the declared
-    targets; witness regimes accept what the searches produced.
+    Lattice pins fix {n theta} and/or {-tau n} to the declared targets;
+    witness conditions accept what the searches produced.
     """
-    sc = params.scaling
-    out = []
-    for n in ns:
-        if n < 1:
-            continue
-        if case_id == 2 and not _matches_frac((sc.theta.fraction * n) % 1, params.lambda_):
-            continue
-        if case_id == 4:
-            mt = (-sc.tau.fraction * n) % 1
-            th = (sc.theta.fraction * n) % 1
-            if not (_matches_frac(mt, params.lambda_) and _matches_frac(th, params.lambda1)):
-                continue
-        if case_id == 5:
-            mtf = (-sc.tau.fraction * n) % 1
-            if not _matches_frac(mtf, params.lambda_):
-                continue
-        if case_id == 6:
-            if not _matches_frac((sc.theta.fraction * n) % 1, params.lambda_):
-                continue
-        out.append(int(n))
+    pins = _pins(_regime(case_id), params)
+    out = [int(n) for n in ns if n >= 1 and all(_matches_frac((step * n) % 1, t) for step, t in pins)]
     return sorted(set(out))
 
 
 def compute_row(case_id: int, params: CaseParams, z, q, n: int) -> CaseVerificationRow:
-    """Evaluate one sweep index: exact value, main term, error, bound."""
+    """Evaluate one sweep index: exact value, main term, error, bound.
+
+    Rows of a witness regime carry the witness along the first witness axis;
+    when that axis is -tau its integer part is the m of the split evaluator.
+    """
+    reg = _regime(case_id)
     qv = QParam.of(q).q
     sc = params.scaling
     zc = complex(z)
     witness = None
-
-    if case_id in (1, 2, 3):
-        lhs = sw_normalized(n, zc, sc, qv) * qq_infinity(qv)
-        main = main_term(case_id, params, zc, qv)
-        if case_id == 3:
-            exact = n * sc.theta.value - params.beta
-            m1 = math.floor(exact + 0.5)
-            witness = DiophantineWitness(n=n, m=m1, residual=exact - m1, beta=params.beta, rho=params.rho)
-    else:
-        m_arg = None
-        if case_id in (6, 7):
-            beta_tau = params.beta if case_id == 6 else params.beta1
-            y = -sc.tau.value * n - beta_tau
-            m_arg = math.floor(y + 0.5)
-            witness = DiophantineWitness(
-                n=n, m=m_arg, residual=y - m_arg, beta=beta_tau, rho=params.rho
-            )
-        elif case_id == 5:
-            exact = n * sc.theta.value - params.beta
-            m1 = math.floor(exact + 0.5)
-            witness = DiophantineWitness(n=n, m=m1, residual=exact - m1, beta=params.beta, rho=params.rho)
+    m_arg = None
+    if reg.witnesses:
+        axis, name = reg.witnesses[0]
+        beta = getattr(params, name)
+        y = _axis(sc, axis)[1] * n - beta
+        m_w = math.floor(y + 0.5)
+        witness = DiophantineWitness(n=n, m=m_w, residual=y - m_w, beta=beta, rho=params.rho)
+        if axis == "-tau":
+            m_arg = m_w
+    if len(reg.targets) == 2:
         split = sw_theta_normalized(n, zc, sc, qv, m=m_arg)
         lhs = split.value
         main = main_term(case_id, params, zc, qv, m=split.m)
+    else:
+        lhs = sw_normalized(n, zc, sc, qv) * qq_infinity(qv)
+        main = main_term(case_id, params, zc, qv)
 
     err = abs(lhs - main)
     bound = error_bound(case_id, params, n, zc, qv)
@@ -390,35 +398,23 @@ def candidates_for_case(
     """
     if n_min < 1 or n_max < n_min:
         raise EmptyCandidates(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
-    sc = params.scaling
-    if case_id == 1:
-        ns = list(range(n_min, n_max + 1))
-    elif case_id == 2:
-        lattice = lattice_of_rational(sc.theta)
-        residue = lattice.residue_of(params.lambda_)
-        if residue is None:
-            raise EmptyCandidates(f"lambda = {params.lambda_} is not attained on the lattice of {sc.theta.describe()}")
-        mod = lattice.modulus
-        start = residue if residue >= 1 else mod
-        ns = [n for n in range(start, n_max + 1, mod) if n >= n_min]
-    elif case_id == 4:
-        prog = joint_progression(sc.tau, sc.theta, params.lambda_, params.lambda1)
+    reg = _regime(case_id)
+    if reg.witnesses:
+        steps = [_axis(params.scaling, axis)[1] for axis, _ in reg.witnesses]
+        betas = [getattr(params, name) for _, name in reg.witnesses]
+        if len(steps) == 1:
+            wits = witness_search(steps[0], betas[0], params.rho, n_max)
+        else:
+            wits = witness_search_pair(*steps, *betas, params.rho, n_max)
+        ns = [w.n for w in wits if w.n >= n_min]
+    elif reg.pins:
+        prog = lattice_progression(_pins(reg, params))
         if prog is None:
-            raise EmptyCandidates("the two fractional targets are incompatible on this lattice")
+            raise EmptyCandidates(f"the case-{case_id} targets are not attained together on this lattice")
         mod, residue = prog
-        start = residue if residue >= 1 else mod
-        ns = [n for n in range(start, n_max + 1, mod) if n >= n_min]
-    elif case_id in (3, 5):
-        wits = witness_search(sc.theta.value, params.beta, params.rho, n_max)
-        ns = [w.n for w in wits if w.n >= n_min]
-    elif case_id == 6:
-        wits = witness_search(-sc.tau.value, params.beta, params.rho, n_max)
-        ns = [w.n for w in wits if w.n >= n_min]
-    elif case_id == 7:
-        wits = witness_search_pair(-sc.tau.value, sc.theta.value, params.beta1, params.beta2, params.rho, n_max)
-        ns = [w.n for w in wits if w.n >= n_min]
+        ns = [n for n in range(residue if residue >= 1 else mod, n_max + 1, mod) if n >= n_min]
     else:
-        raise MissingParam(f"case_id must be 1..7, got {case_id}")
+        ns = list(range(n_min, n_max + 1))
     if n_step > 1:
         ns = ns[::n_step]
     return ns

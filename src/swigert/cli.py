@@ -41,6 +41,10 @@ from .scaling import RealParam, Scaling
 
 _EVAL_FUNCTIONS = ("Aq", "Bq", "theta_series", "theta_product", "qpoch")
 
+# Scaling flags whose values may start with '-' ("-1/2", "-sqrt2+1"); argparse
+# would read such a separate argument as an option.
+_SIGNED_FLAGS = ("--tau", "--theta", "--theta2")
+
 
 def _parse_target(text) -> Optional[object]:
     """Fractional target from config/CLI: Fraction when exact, float otherwise."""
@@ -78,7 +82,6 @@ class SweepConfig:
     candidates: Optional[list] = None
     out: str = "report.csv"
     format: str = "csv"
-    tol: float = 1e-12
     jobs: int = 1
 
     @classmethod
@@ -86,7 +89,7 @@ class SweepConfig:
         known = {
             "case_id", "q", "z_re", "z_im", "tau", "theta", "lambda", "lambda1",
             "beta", "beta1", "beta2", "rho", "n_min", "n_max", "n_step",
-            "candidates", "out", "format", "tol", "jobs",
+            "candidates", "out", "format", "jobs",
         }
         unknown = set(d) - known
         if unknown:
@@ -209,7 +212,6 @@ def _config_from_args(args) -> SweepConfig:
         n_step=args.nstep,
         out=args.out,
         format=args.format,
-        tol=args.tol,
         jobs=args.jobs,
     )
 
@@ -275,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default="report.csv")
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ver.add_argument("--jobs", type=int, default=1)
-    p_ver.add_argument("--tol", type=float, default=1e-12)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a batch of verify configs")
@@ -285,9 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv) -> list:
+    """Rewrite '--tau -1/2' as '--tau=-1/2' for the scaling flags."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SwigertError as exc:

@@ -1,4 +1,7 @@
-"""Fractional parts, continued fractions, and approximation witness searches.
+"""Lattice progressions, continued fractions, and approximation witness searches.
+
+On a rational orbit the indices with prescribed fractional parts form an
+arithmetic progression (``lattice_progression``, a CRT over the conditions).
 
 A witness at quality rho is a positive integer n whose orbit point n*theta
 lands within n**(-rho) of beta modulo 1; the index sequences feeding the
@@ -23,15 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotRational, OutOfRange
-from .scaling import RealParam
 
 _SCAN_CAP = 10**6
-
-
-def frac_split(x: float) -> tuple[int, float]:
-    """Split x as (integer part, fractional part in [0, 1)), floor convention."""
-    m = math.floor(x)
-    return m, x - m
 
 
 def chi(n: int) -> int:
@@ -63,38 +59,6 @@ class PairedWitness:
     m1: int
     a_n: float
     b_n: float
-
-
-@dataclass(frozen=True)
-class RationalLattice:
-    """The finite orbit {n * p/r mod 1} with the residue class attaining each value."""
-
-    theta: Fraction
-    classes: tuple[tuple[Fraction, int], ...]
-
-    @property
-    def modulus(self) -> int:
-        return self.theta.denominator
-
-    def residue_of(self, value) -> Optional[int]:
-        target = Fraction(value)
-        for lam, residue in self.classes:
-            if lam == target:
-                return residue
-        return None
-
-
-def lattice_of_rational(theta) -> RationalLattice:
-    """Enumerate the orbit of a reduced rational theta = p/r over n = 1..r."""
-    if isinstance(theta, RealParam):
-        if not theta.is_rational:
-            raise NotRational(f"lattice requires a rational theta, got {theta.describe()!r}")
-        frac = theta.fraction
-    else:
-        frac = Fraction(theta)
-    r = frac.denominator
-    classes = tuple(((frac * n) % 1, n % r) for n in range(1, r + 1))
-    return RationalLattice(theta=frac, classes=classes)
 
 
 def cf_convergents(x: float, count: int) -> list[tuple[int, int]]:
@@ -233,44 +197,31 @@ def witness_search_pair(
 def _residue_condition(frac: Fraction, target) -> Optional[tuple[int, int]]:
     """Solve {n * frac} = target as a congruence n = residue (mod modulus)."""
     b = frac.denominator
-    a = frac.numerator % b
-    t = Fraction(target)
-    j_frac = t * b
+    j_frac = Fraction(target) * b
     if j_frac.denominator != 1:
         return None
     j = j_frac.numerator % b
-    if b == 1:
-        return (0, 1) if j == 0 else None
-    if math.gcd(a, b) != 1:   # unreachable for reduced fractions; kept defensive
-        return None
-    residue = (j * pow(a, -1, b)) % b
-    return residue, b
+    return (j * pow(frac.numerator % b, -1, b)) % b, b
 
 
-def joint_progression(tau, theta, lam, lam1) -> Optional[tuple[int, int]]:
-    """Arithmetic progression of n with {-tau*n} = lam and {n*theta} = lam1.
+def lattice_progression(pins) -> Optional[tuple[int, int]]:
+    """Arithmetic progression of n with {n * step} = target for every (step, target) pin.
 
-    Both scaling components must be exact rationals.  Returns
-    (modulus, residue) with 0 <= residue < modulus, or None when the two
-    congruences are incompatible (CRT) or a target is not attainable on the
-    lattice.
+    Every step must be an exact rational (``Fraction`` or ``int``).  Returns
+    (modulus, residue) with 0 <= residue < modulus, or None when a target
+    is not attained on its lattice or the congruences are incompatible (CRT).
     """
-    tau_p = tau if isinstance(tau, RealParam) else RealParam.rational(Fraction(tau))
-    theta_p = theta if isinstance(theta, RealParam) else RealParam.rational(Fraction(theta))
-    if not (tau_p.is_rational and theta_p.is_rational):
-        raise NotRational("joint progression requires rational tau and theta")
-
-    cond1 = _residue_condition(-tau_p.fraction, lam)
-    cond2 = _residue_condition(theta_p.fraction, lam1)
-    if cond1 is None or cond2 is None:
-        return None
-    r1, m1 = cond1
-    r2, m2 = cond2
-    g = math.gcd(m1, m2)
-    if (r1 - r2) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    step = m1 // g
-    k = ((r2 - r1) // g * pow(step % (m2 // g), -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    residue = (r1 + k * m1) % lcm
-    return lcm, residue
+    modulus, residue = 1, 0
+    for step, target in pins:
+        if not isinstance(step, (int, Fraction)):
+            raise NotRational(f"lattice step must be an exact rational, got {step!r}")
+        cond = _residue_condition(Fraction(step), target)
+        if cond is None:
+            return None
+        r, m = cond
+        g = math.gcd(modulus, m)
+        if (r - residue) % g != 0:
+            return None
+        k = ((r - residue) // g * pow(modulus // g, -1, m // g)) % (m // g)
+        residue, modulus = residue + k * modulus, modulus // g * m
+    return modulus, residue

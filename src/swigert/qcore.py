@@ -156,14 +156,6 @@ def qpoch_infinite(a, q, tol: float) -> CertifiedValue:
     raise NonConvergent(f"no certified truncation point for |a|={a_abs!r}, q={qv!r}, tol={tol!r}")
 
 
-def qbinom(n: int, k: int, q) -> float:
-    """Gaussian binomial coefficient (q; q)_n / ((q; q)_k (q; q)_{n-k})."""
-    if k < 0 or k > n:
-        raise OutOfRange(f"k={k} outside 0..{n}")
-    qv = QParam.of(q).q
-    return qpoch_q_n(qv, n) / (qpoch_q_n(qv, k) * qpoch_q_n(qv, n - k))
-
-
 @dataclass(frozen=True)
 class PochTailRemainders:
     """Actual tail remainders of (a q^n; q)_infinity and their bounds.

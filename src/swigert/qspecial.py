@@ -12,24 +12,10 @@ certificate and reports that certificate as ``tail_bound``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRange, ZeroArgument
 from .qcore import CertifiedValue, QParam, qpoch_infinite, qq_infinity
 
 _MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class ThetaArg:
-    """Argument pair (z, q) of the theta function; z must be nonzero."""
-
-    z: complex
-    q: QParam
-
-    def __post_init__(self) -> None:
-        if self.z == 0:
-            raise ZeroArgument("theta function is undefined at z = 0")
 
 
 def _entire_series(w: complex, q: float, tol: float) -> CertifiedValue:
@@ -166,8 +152,3 @@ def theta_product(z, q, tol: float = 1e-12) -> CertifiedValue:
         value, err = combine(parts)
     return CertifiedValue(value, err)
 
-
-def theta_of_arg(arg: ThetaArg, tol: float = 1e-12, product: bool = False) -> CertifiedValue:
-    """Typed front door for the two theta evaluators."""
-    fn = theta_product if product else theta_series
-    return fn(arg.z, arg.q, tol)

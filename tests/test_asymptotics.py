@@ -82,6 +82,31 @@ class TestCaseParams:
         with pytest.raises(MissingParam):
             CaseParams(2, Scaling.make("1/2", "1/3"), lambda_=Fraction(1, 3))
 
+    def test_each_required_param_enforced(self):
+        # The parameters each regime requires, written out independently of the code.
+        required = {
+            1: (),
+            2: ("lambda_",),
+            3: ("beta", "rho"),
+            4: ("lambda_", "lambda1"),
+            5: ("lambda_", "beta", "rho"),
+            6: ("lambda_", "beta", "rho"),
+            7: ("beta1", "beta2", "rho"),
+        }
+        scalings = {
+            1: ("1/2", "3/10"), 2: ("0", "1/3"), 3: ("0", SQRT2M1), 4: ("-1/2", "1/4"),
+            5: ("-1/2", SQRT3M1), 6: ("-sqrt2+1", "1/4"), 7: ("-sqrt2+1", SQRT3M1),
+        }
+        values = dict(lambda_=Fraction(1, 2), lambda1=Fraction(1, 4), beta=0.0, beta1=0.0, beta2=0.0, rho=0.9)
+        for case, names in required.items():
+            sc = Scaling.make(*scalings[case])
+            full = {name: values[name] for name in names}
+            assert CaseParams(case, sc, **full).case_id == case
+            for name in names:
+                partial = {k: v for k, v in full.items() if k != name}
+                with pytest.raises(MissingParam, match=f"requires parameter {name.rstrip('_')}$"):
+                    CaseParams(case, sc, **partial)
+
     def test_targets_must_be_fractional(self):
         with pytest.raises(MissingParam):
             CaseParams(3, Scaling.make("0", SQRT2M1), beta=1.5, rho=0.9)

@@ -75,6 +75,13 @@ class TestWitnessCmd:
         code, _, err = run(capsys, "witness", "--theta", "sqrt2", "--rho", "1", "--nmax", "0")
         assert code == 2 and "error:" in err
 
+    def test_negative_theta_flags(self, capsys):
+        code, out, _ = run(capsys, "witness", "--theta", "-sqrt2+1", "--rho", "1", "--nmax", "100")
+        assert code == 0 and out.startswith("n,m,residual\n")
+        code, out, _ = run(capsys, "witness", "--theta", "-sqrt2+1", "--theta2", "-1/3",
+                           "--rho", "0.4", "--nmax", "100")
+        assert code == 0 and out.startswith("n,m,residual,m1,residual2\n")
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "w.csv"
         code, out, _ = run(capsys, "witness", "--theta", "sqrt2", "--rho", "1",
@@ -151,9 +158,23 @@ class TestVerifyCmd:
         assert code == 2 and "error:" in err
 
     def test_unknown_config_field_rejected(self, capsys, tmp_path):
-        cfg, _ = write_config(tmp_path, bogus=1)
-        code, _, err = run(capsys, "verify", "--config", str(cfg))
-        assert code == 2 and "error:" in err
+        for field in ("bogus", "tol"):
+            cfg, _ = write_config(tmp_path, **{field: 1})
+            code, _, err = run(capsys, "verify", "--config", str(cfg))
+            assert code == 2 and "error:" in err
+
+    def test_negative_tau_flag_matches_config(self, capsys, tmp_path):
+        cfg, cfg_out = write_config(tmp_path, n_max=41)
+        cfg_code, cfg_summary, _ = run(capsys, "verify", "--config", str(cfg))
+        flags_out = tmp_path / "flags.csv"
+        code, summary, _ = run(
+            capsys, "verify", "--case", "4", "--q", "0.5", "--z-re", "1", "--z-im", "0.5",
+            "--tau", "-1/2", "--theta", "1/4", "--lambda", "1/2", "--lambda1", "1/4",
+            "--nmax", "41", "--out", str(flags_out),
+        )
+        assert code == cfg_code == 0
+        assert summary == cfg_summary
+        assert flags_out.read_bytes() == cfg_out.read_bytes()
 
     def test_json_rows_format(self, capsys, tmp_path):
         cfg, out_path = write_config(tmp_path, format="json", out=str(tmp_path / "rows.json"))
@@ -181,6 +202,47 @@ class TestVerifyCmd:
         assert run(capsys, "verify", "--config", str(cfg1))[0] == 0
         assert run(capsys, "verify", "--config", str(cfg2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# One small sweep per regime; z defaults to 1 + 0.5i.
+SEVEN_CASES = {
+    1: dict(tau="1/2", theta="3/10", n_min=5, n_max=40),
+    2: dict(tau="0", theta="1/3", n_max=40, **{"lambda": "1/3"}),
+    3: dict(tau="0", theta="sqrt2-1", beta=0.0, rho=0.9, z_re=2.0, z_im=0.0, n_max=200),
+    4: dict(tau="-1/2", theta="1/4", n_max=41, **{"lambda": "1/2", "lambda1": "1/4"}),
+    5: dict(tau="-1/2", theta="sqrt3-1", beta=0.0, rho=0.9, n_max=2000, **{"lambda": "1/2"}),
+    6: dict(tau="-sqrt2+1", theta="1/4", beta=0.0, rho=0.9, n_max=2000, **{"lambda": "1/4"}),
+    7: dict(tau="-sqrt2+1", theta="sqrt3-1", beta1=0.0, beta2=0.0, rho=0.3, n_max=2000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEVEN_CASES))
+def test_verify_each_case_in_both_formats(capsys, tmp_path, case):
+    base = {"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, "n_min": 1, **SEVEN_CASES[case]}
+    codes, bodies = {}, {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(json.dumps(dict(base, format=fmt, out=str(out))))
+        codes[fmt] = run(capsys, "verify", "--config", str(path))[0]
+        bodies[fmt] = out.read_text()
+    header, *lines = bodies["csv"].splitlines()
+    csv_rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    json_rows = json.loads(bodies["json"])
+    assert len(csv_rows) == len(json_rows) > 0
+    for c, j in zip(csv_rows, json_rows):
+        assert set(c) == set(j)
+        for key, value in j.items():
+            if value is None:
+                assert c[key] == ""
+            elif isinstance(value, bool):
+                assert c[key] == ("true" if value else "false")
+            else:
+                assert type(value)(c[key]) == value
+    witnessed = case in (3, 5, 6, 7)
+    for r in json_rows:
+        assert (r["witness_m"] is not None, r["witness_residual"] is not None) == (witnessed, witnessed)
+    assert codes["csv"] == codes["json"] == (0 if json_rows[-1]["within"] else 1)
 
 
 class TestSweepCmd:

@@ -9,9 +9,7 @@ from swigert.diophantine import (
     cf_convergents,
     chi,
     exact_residual,
-    frac_split,
-    joint_progression,
-    lattice_of_rational,
+    lattice_progression,
     witness_search,
     witness_search_pair,
 )
@@ -23,19 +21,6 @@ SQRT3 = math.sqrt(3.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-class TestFracSplit:
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(2.75, (2, 0.75)), (-0.25, (-1, 0.75)), (3.0, (3, 0.0)), (0.0, (0, 0.0))],
-    )
-    def test_examples(self, x, expected):
-        m, f = frac_split(x)
-        assert m == expected[0]
-        assert f == pytest.approx(expected[1], abs=1e-15)
-        assert m + f == pytest.approx(x, abs=1e-15)
-        assert 0.0 <= f < 1.0
-
-
 class TestChi:
     @pytest.mark.parametrize("n,expected", [(3, 1), (4, 0), (-1, 1), (-2, 0), (0, 0), (7, 1)])
     def test_parity(self, n, expected):
@@ -44,32 +29,35 @@ class TestChi:
 
 class TestLattice:
     def test_third(self):
-        lat = lattice_of_rational(Fraction(1, 3))
-        values = {v for v, _ in lat.classes}
-        assert values == {Fraction(0), Fraction(1, 3), Fraction(2, 3)}
-        assert lat.residue_of(Fraction(1, 3)) == 1
+        attained = {Fraction(j, 3) for j in range(3) if lattice_progression([(Fraction(1, 3), Fraction(j, 3))])}
+        assert attained == {Fraction(0), Fraction(1, 3), Fraction(2, 3)}
+        assert lattice_progression([(Fraction(1, 3), Fraction(1, 3))]) == (3, 1)
 
     def test_half(self):
-        lat = lattice_of_rational(Fraction(1, 2))
-        assert {v for v, _ in lat.classes} == {Fraction(0), Fraction(1, 2)}
+        assert lattice_progression([(Fraction(1, 2), Fraction(0))]) == (2, 0)
+        assert lattice_progression([(Fraction(1, 2), Fraction(1, 2))]) == (2, 1)
+        assert lattice_progression([(Fraction(1, 2), Fraction(1, 4))]) is None
 
     def test_two_fifths(self):
-        lat = lattice_of_rational(Fraction(2, 5))
-        assert [v for v, _ in lat.classes] == [
-            Fraction(2, 5), Fraction(4, 5), Fraction(1, 5), Fraction(3, 5), Fraction(0),
-        ]
+        orbit = [Fraction(2, 5), Fraction(4, 5), Fraction(1, 5), Fraction(3, 5), Fraction(0)]
+        for n, value in enumerate(orbit, start=1):
+            assert lattice_progression([(Fraction(2, 5), value)]) == (5, n % 5)
 
     def test_size_and_prediction(self):
         for frac in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 8)):
-            lat = lattice_of_rational(frac)
-            assert len({v for v, _ in lat.classes}) == frac.denominator
-            by_residue = {res: v for v, res in lat.classes}
-            for n in range(1, 3 * frac.denominator + 1):
-                assert (frac * n) % 1 == by_residue[n % frac.denominator]
+            d = frac.denominator
+            residues = set()
+            for j in range(d):
+                mod, residue = lattice_progression([(frac, Fraction(j, d))])
+                assert mod == d
+                residues.add(residue)
+                for n in range(residue or d, 3 * d + 1, d):
+                    assert (frac * n) % 1 == Fraction(j, d)
+            assert len(residues) == d
 
     def test_rejects_irrational(self):
         with pytest.raises(NotRational):
-            lattice_of_rational(RealParam.irrational(SQRT2))
+            lattice_progression([(RealParam.irrational(SQRT2), Fraction(0))])
 
 
 class TestConvergents:
@@ -170,21 +158,26 @@ class TestWitnessSearchPair:
 
 
 class TestJointProgression:
+    @staticmethod
+    def joint(tau, theta, lam, lam1):
+        """Progression of n with {-tau n} = lam and {n theta} = lam1."""
+        return lattice_progression([(-tau, lam), (theta, lam1)])
+
     def test_quarter_lattice(self):
-        assert joint_progression(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)) == (4, 1)
+        assert self.joint(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)) == (4, 1)
 
     def test_incompatible(self):
-        assert joint_progression(Fraction(-1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 2)) is None
+        assert self.joint(Fraction(-1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 2)) is None
 
     def test_shared_condition(self):
-        assert joint_progression(Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == (3, 1)
+        assert self.joint(Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)) == (3, 1)
 
     def test_unattainable_target(self):
-        assert joint_progression(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)) is None
+        assert self.joint(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 4)) is None
 
     def test_requires_rational(self):
         with pytest.raises(NotRational):
-            joint_progression(RealParam.irrational(-0.4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+            lattice_progression([(RealParam.irrational(0.4), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4))])
 
 
 class TestWitnessType:

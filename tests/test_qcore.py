@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from swigert.qcore import (
     CertifiedValue,
     QParam,
     poch_tail_remainders,
-    qbinom,
     qpoch_finite,
     qpoch_infinite,
     qq_infinity,
@@ -106,31 +103,6 @@ class TestQpochInfinite:
     def test_bad_tolerance(self):
         with pytest.raises(OutOfRange):
             qpoch_infinite(0.5, 0.5, 0.0)
-
-
-class TestQbinom:
-    def test_edge_is_one(self):
-        assert qbinom(5, 0, 0.3) == 1.0
-
-    def test_small_value(self):
-        assert qbinom(2, 1, 0.5) == pytest.approx(1.5, rel=1e-14)
-
-    def test_symmetry(self):
-        assert qbinom(4, 3, 0.7) == pytest.approx(qbinom(4, 1, 0.7), rel=1e-13)
-        for n in range(0, 12):
-            for k in range(n + 1):
-                assert qbinom(n, k, 0.45) == pytest.approx(qbinom(n, n - k, 0.45), rel=1e-12)
-
-    def test_classical_limit(self):
-        for n in range(1, 9):
-            for k in range(n + 1):
-                assert qbinom(n, k, 0.999) == pytest.approx(math.comb(n, k), rel=1e-2)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            qbinom(4, 5, 0.5)
-        with pytest.raises(OutOfRange):
-            qbinom(4, -1, 0.5)
 
 
 class TestPochTailRemainders:

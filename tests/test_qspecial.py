@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from swigert.errors import OutOfRange, ZeroArgument
-from swigert.qcore import QParam
 from swigert.qspecial import (
     Aq_derivative,
     Bq,
-    ThetaArg,
     ramanujan_Aq,
-    theta_of_arg,
     theta_product,
     theta_series,
 )
@@ -113,8 +110,6 @@ class TestThetaSeries:
     def test_zero_argument(self):
         with pytest.raises(ZeroArgument):
             theta_series(0.0, 0.5)
-        with pytest.raises(ZeroArgument):
-            ThetaArg(0.0, QParam(0.5))
 
     def test_inversion_symmetry(self):
         rng = np.random.default_rng(25)
@@ -166,6 +161,3 @@ class TestThetaProduct:
         with pytest.raises(ZeroArgument):
             theta_product(0.0, 0.5)
 
-    def test_typed_front_door(self):
-        arg = ThetaArg(1.0, QParam(0.5))
-        assert theta_of_arg(arg).value == pytest.approx(theta_of_arg(arg, product=True).value, rel=1e-10)
