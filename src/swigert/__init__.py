@@ -32,7 +32,6 @@ from .errors import (
     DomainTooLarge,
     EmptyCandidates,
     HypothesisViolated,
-    IndexOutOfRange,
     MissingParam,
     NonConvergent,
     NotRational,
@@ -57,8 +56,6 @@ from .swpoly import (
     SplitSumResult,
     log_normalizer,
     log_theta_normalizer,
-    poch_tail_ratio_e,
-    poch_tail_ratio_f,
     scaled_argument,
     sw_direct,
     sw_normalized,

@@ -199,31 +199,10 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _minus_q3_const(q: float) -> float:
-    """(-q^3; q)_infinity at the bound tolerance."""
-    return qpoch_infinite(-(q**3), q, _CONST_TOL).real
-
-
-@lru_cache(maxsize=None)
-def _bq_const(x: float, q: float) -> float:
-    return Bq(x, q, _CONST_TOL).real
-
-
-@lru_cache(maxsize=None)
-def _theta_sqrtq_const(x: float, q: float) -> float:
-    """Bilateral series at |z| = x with nome sqrt(q)."""
-    return theta_series(complex(x), math.sqrt(q), _CONST_TOL).real
-
-
-@lru_cache(maxsize=None)
-def _aq_main(zarg: complex, q: float) -> complex:
-    return ramanujan_Aq(zarg, q, _CONST_TOL).value
-
-
-@lru_cache(maxsize=None)
-def _theta_main(w: complex, q: float) -> complex:
-    return theta_series(w, q, _CONST_TOL).value
+@lru_cache(maxsize=128)
+def _const(fn, *args):
+    """fn(*args, _CONST_TOL).value: the per-(q, |z|) budget constants and main terms."""
+    return fn(*args, _CONST_TOL).value
 
 
 def _safe_exp(x: float) -> float:
@@ -242,12 +221,12 @@ def main_term(case_id: int, params: CaseParams, z, q, m: Optional[int] = None) -
     if not targets:
         return complex(1.0)
     if len(targets) == 1:
-        return _aq_main(_exp_2pii(targets[0]) / zc, qv)
+        return _const(ramanujan_Aq, _exp_2pii(targets[0]) / zc, qv)
     if m is None:
         raise MissingParam(f"case {case_id} main term needs the integer m for chi(m)")
     u, v = targets
     w = -zc * qv ** (chi(m) + u) * _exp_2pii(-v)
-    return _theta_main(w, qv)
+    return _const(theta_series, w, qv)
 
 
 def _exp_2pii(t: float) -> complex:
@@ -276,16 +255,17 @@ def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     lnq = math.log(qv)
     if case_id == 1:
         tau = params.scaling.tau.value
-        majorant = qv * _bq_const(qv * qv / az, qv) / ((1.0 - qv) * az) * _safe_exp(tau * n * lnq)
+        majorant = qv * _const(Bq, qv * qv / az, qv).real / ((1.0 - qv) * az) * _safe_exp(tau * n * lnq)
         return majorant + _safe_exp((n + 1) * lnq) / (1.0 - qv)
+    minus_q3 = _const(qpoch_infinite, -(qv**3), qv).real
     if case_id == 2:
-        coeff = 2.0 * _minus_q3_const(qv) * _bq_const(1.0 / az, qv) / qq_infinity(qv)
+        coeff = 2.0 * minus_q3 * _const(Bq, 1.0 / az, qv).real / qq_infinity(qv)
         return coeff * (_safe_exp(n * lnq / 2.0) + _safe_exp(n * n * lnq / 4.0 - (n // 2) * math.log(az)))
     nu = nu_n(case_id, params.scaling, n, qv)
     if case_id == 3:
-        coeff = 24.0 * _minus_q3_const(qv) * _bq_const(1.0 / az, qv) / qq_infinity(qv)
+        coeff = 24.0 * minus_q3 * _const(Bq, 1.0 / az, qv).real / qq_infinity(qv)
         return coeff * (math.log(n) ** 2 / n ** params.rho + _safe_exp(nu * nu * lnq - nu * math.log(az)))
-    coeff = _minus_q3_const(qv) ** 2 * _theta_sqrtq_const(az, qv) / (1.0 - qv) ** 2
+    coeff = minus_q3**2 * _const(theta_series, complex(az), math.sqrt(qv)).real / (1.0 - qv) ** 2
     grow = _safe_exp(nu * nu * lnq + nu * math.log(az))
     shrink = _safe_exp(nu * nu * lnq / 2.0 - nu * math.log(az))
     if case_id == 4:

@@ -41,10 +41,6 @@ from .scaling import RealParam, Scaling
 
 _EVAL_FUNCTIONS = ("Aq", "Bq", "theta_series", "theta_product", "qpoch")
 
-# Scaling flags whose values may start with '-' ("-1/2", "-sqrt2+1"); argparse
-# would read such a separate argument as an option.
-_SIGNED_FLAGS = ("--tau", "--theta", "--theta2")
-
 
 def _parse_target(text) -> Optional[object]:
     """Fractional target from config/CLI: Fraction when exact, float otherwise."""
@@ -286,11 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_signed_values(argv) -> list:
-    """Rewrite '--tau -1/2' as '--tau=-1/2' for the scaling flags."""
+def _value_flags(parser: argparse.ArgumentParser) -> set:
+    """Option strings of the parser and its subcommands that take one value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.option_strings and action.nargs is None:
+            flags.update(action.option_strings)
+    return flags
+
+
+def _attach_signed_values(parser: argparse.ArgumentParser, argv) -> list:
+    """Join a value starting with '-' to its flag ('--z -1e-3' -> '--z=-1e-3'); argparse reads it as an option."""
+    flags = _value_flags(parser)
     out = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -299,7 +308,7 @@ def _attach_signed_values(argv) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_signed_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SwigertError as exc:

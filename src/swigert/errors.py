@@ -33,10 +33,6 @@ class BadTau(SwigertError, ValueError):
     """The theta-centered split evaluator requires -2 < tau < 0."""
 
 
-class IndexOutOfRange(SwigertError, IndexError):
-    """Pochhammer ratio index outside its valid window."""
-
-
 class NotRational(SwigertError, TypeError):
     """An exact-rational parameter is required here."""
 

@@ -6,6 +6,11 @@ remainder bound.  This module supplies the finite products, the certified
 infinite products, and the pair of tail remainders (with their rigorous
 bounds) that the higher-level evaluators consume.
 
+The partial products (q; q)_j are held as one saturating tuple per q in a
+small bounded cache, ``_qq_prefix``.  That tuple is the per-q context: an
+evaluator validates q once, fetches the tuple once and reads
+``prefix[min(j, last)]`` in its loops.
+
 A certified quantity is a value together with a ``tail_bound`` that
 rigorously dominates the truncation error.  Floating-point roundoff is not
 included in the certificate; all series handled here have terms that decay
@@ -63,7 +68,7 @@ class CertifiedValue:
         return complex(self.value).real
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _qq_prefix(q: float) -> tuple[float, ...]:
     """Partial products (q; q)_j for j = 0, 1, ... until saturation.
 
@@ -94,7 +99,7 @@ def qq_infinity(q) -> float:
     return _qq_prefix(QParam.of(q).q)[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _abs_aq2_constant(a_abs: float, q: float) -> float:
     """Upper bound for (-a q^2; q)_infinity with a >= 0.
 

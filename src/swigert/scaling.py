@@ -119,13 +119,6 @@ class Scaling:
     def make(cls, tau, theta) -> "Scaling":
         return cls(RealParam.parse(tau), RealParam.parse(theta))
 
-    def s_value(self, q) -> complex:
-        """The scaling exponent s = tau + 2 + 2*pi*theta*i / log q."""
-        from .qcore import QParam
-
-        qv = QParam.of(q).q
-        return complex(self.tau.value + 2.0, 2.0 * math.pi * self.theta.value / math.log(qv))
-
     def minus_tau_split(self, n: int) -> tuple[int, float]:
         """(-tau * n) split as (m, c) with m = floor and c in [0, 1).
 
@@ -147,11 +140,3 @@ class Scaling:
         # up to one ulp of the input.
         base = self.theta.value - math.floor(self.theta.value)
         return _snap_split(n * base)[1]
-
-    def theta_int_frac(self, n: int) -> tuple[int, float]:
-        """(n * theta) split as (m1, d) with m1 = floor and d in [0, 1)."""
-        if self.theta.is_rational:
-            mt = self.theta.fraction * n
-            m1 = mt.numerator // mt.denominator
-            return m1, float(mt - m1)
-        return _snap_split(n * self.theta.value)

@@ -21,8 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BadTau, DomainTooLarge, IndexOutOfRange, PeakOverflow, ZeroArgument
-from .qcore import QParam, qpoch_q_n, qq_infinity
+from .errors import BadTau, DomainTooLarge, PeakOverflow, ZeroArgument
+from .qcore import QParam, _qq_prefix, qpoch_q_n, qq_infinity
 from .scaling import RealParam, Scaling
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "sw_direct",
     "sw_normalized",
     "sw_theta_normalized",
-    "poch_tail_ratio_e",
-    "poch_tail_ratio_f",
     "scaled_argument",
     "log_normalizer",
     "log_theta_normalizer",
@@ -148,12 +146,14 @@ def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
 
     d = scaling.theta_frac(n)
     base = -(qv ** (tau * n)) / zc * cmath.exp(complex(0.0, 2.0 * math.pi * d))
+    prefix = _qq_prefix(qv)
+    last = len(prefix) - 1
     total = complex(0.0)
     term = complex(1.0)
     qodd = qv
     k_break = int(math.ceil(max(k_star, 0.0))) + 1
     for k in range(n + 1):
-        total += term / (qpoch_q_n(qv, k) * qpoch_q_n(qv, n - k))
+        total += term / (prefix[min(k, last)] * prefix[min(n - k, last)])
         term *= base * qodd
         qodd *= qv * qv
         if k > k_break and abs(term) < _UNDERFLOW:
@@ -184,34 +184,15 @@ class SplitSumResult:
         return self.m // 2
 
 
-def poch_tail_ratio_e(k: int, n: int, m: int, q) -> float:
-    """(q; q)_inf^2 / ((q;q)_{m//2 - k} (q;q)_{n - m//2 + k}), in (0, 1]."""
-    half = m // 2
-    if k < 0 or k > half:
-        raise IndexOutOfRange(f"k={k} outside 0..{half}")
-    if n - half + k < 0:
-        raise IndexOutOfRange(f"n - m//2 + k = {n - half + k} is negative")
-    qv = QParam.of(q).q
-    return qq_infinity(qv) ** 2 / (qpoch_q_n(qv, half - k) * qpoch_q_n(qv, n - half + k))
-
-
-def poch_tail_ratio_f(k: int, n: int, m: int, q) -> float:
-    """(q; q)_inf^2 / ((q;q)_{m//2 + k} (q;q)_{n - m//2 - k}), in (0, 1]."""
-    half = m // 2
-    if k < 1 or k > n - half:
-        raise IndexOutOfRange(f"k={k} outside 1..{n - half}")
-    qv = QParam.of(q).q
-    return qq_infinity(qv) ** 2 / (qpoch_q_n(qv, half + k) * qpoch_q_n(qv, n - half - k))
-
-
 def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumResult:
     """Theta-centered split evaluation, stable for all n when -2 < tau < 0.
 
     Computes the reversed sum renormalized by
     (q;q)_inf^2 (-z e^(-2 pi i n theta))^(m//2) / q^((m//2)(tau n + m//2)),
-    split at k = m//2.  The ascending half s1 runs over the ratio weights
-    e(k, n) and the descending half s2 over f(k, n); every term is bounded
-    by q^(k^2 - 2k) max(|z|, 1/|z|)^k, which is asserted during summation.
+    split at k = m//2.  Both halves run over the ratio weights
+    (q;q)_inf^2 / ((q;q)_j (q;q)_{n-j}) in (0, 1], s1 at j = m//2 - k and s2
+    at j = m//2 + k; every term is bounded by q^(k^2 - 2k) max(|z|, 1/|z|)^k,
+    which is asserted during summation.
 
     ``m`` defaults to floor(-tau*n); an explicit value supports witness
     decompositions -tau*n = m + beta + residual whose fractional offset
@@ -239,7 +220,9 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
 
     zc = complex(z)
     mag = max(abs(zc), 1.0 / abs(zc))
-    qq2 = qq_infinity(qv) ** 2
+    prefix = _qq_prefix(qv)
+    last = len(prefix) - 1
+    qq2 = prefix[-1] ** 2
     exponent = parity + c                   # in [0, 2) on the floor path
     # Documented term bound q^(k^2 - 2k) max^k holds while the exponent stays
     # in [0, 2); witness decompositions may need the slightly wider window.
@@ -247,34 +230,27 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
     guard_slack = 1.0 + 1e-9
     guard_floor = 1e-280
 
+    def wing(ks: range, sign: int, w: complex, term: complex, qodd: float) -> complex:
+        """Sum over ks of q^(k^2) w^k times the weight at j = m//2 + sign*k.
+
+        ``term`` and ``qodd`` enter as q^(k^2) w^k and q^(2k+1) at the first k.
+        """
+        total = complex(0.0)
+        for k in ks:
+            j = half + sign * k
+            ratio = qq2 / (prefix[min(j, last)] * prefix[min(n - j, last)])
+            assert 0.0 < ratio <= 1.0
+            contrib = term * ratio
+            assert abs(contrib) <= mag**k * qv ** (k * (k - guard_pow)) * guard_slack + guard_floor
+            total += contrib
+            term *= w * qodd
+            qodd *= qv * qv
+            if k > 2 and abs(term) < _UNDERFLOW:
+                break
+        return total
+
     w1 = -zc * (qv**exponent) * cmath.exp(complex(0.0, -2.0 * math.pi * d))
-    s1 = complex(0.0)
-    term = complex(1.0)   # q^(k^2) w1^k
-    qodd = qv
-    for k in range(half + 1):
-        ratio = qq2 / (qpoch_q_n(qv, half - k) * qpoch_q_n(qv, n - half + k))
-        assert 0.0 < ratio <= 1.0
-        contrib = term * ratio
-        assert abs(contrib) <= mag**k * qv ** (k * (k - guard_pow)) * guard_slack + guard_floor
-        s1 += contrib
-        term *= w1 * qodd
-        qodd *= qv * qv
-        if k > 2 and abs(term) < _UNDERFLOW:
-            break
-
     w2 = 1.0 / w1
-    s2 = complex(0.0)
-    term = w2 * qv        # q^(k^2) w2^k at k = 1
-    qodd = qv**3
-    for k in range(1, n - half + 1):
-        ratio = qq2 / (qpoch_q_n(qv, half + k) * qpoch_q_n(qv, n - half - k))
-        assert 0.0 < ratio <= 1.0
-        contrib = term * ratio
-        assert abs(contrib) <= mag**k * qv ** (k * (k - guard_pow)) * guard_slack + guard_floor
-        s2 += contrib
-        term *= w2 * qodd
-        qodd *= qv * qv
-        if k > 2 and abs(term) < _UNDERFLOW:
-            break
-
+    s1 = wing(range(half + 1), -1, w1, complex(1.0), qv)
+    s2 = wing(range(1, n - half + 1), 1, w2, w2 * qv, qv**3)
     return SplitSumResult(value=s1 + s2, m=m, c_n=c, d_n=d, chi_m=parity, s1=s1, s2=s2)

@@ -46,6 +46,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "qpoch", "--a", "0.5", "--q", "0.5")
         assert code == 2 and "error:" in err
 
+    def test_negative_exponent_value_as_separate_argument(self, capsys):
+        joined = run(capsys, "eval", "Aq", "--z=-1e-3", "--q", "0.5")
+        separate = run(capsys, "eval", "Aq", "--z", "-1e-3", "--q", "0.5")
+        assert joined[0] == separate[0] == 0
+        assert separate[1] == joined[1]
+
 
 class TestWitnessCmd:
     def test_sqrt2_table(self, capsys):
@@ -164,17 +170,18 @@ class TestVerifyCmd:
             assert code == 2 and "error:" in err
 
     def test_negative_tau_flag_matches_config(self, capsys, tmp_path):
-        cfg, cfg_out = write_config(tmp_path, n_max=41)
-        cfg_code, cfg_summary, _ = run(capsys, "verify", "--config", str(cfg))
-        flags_out = tmp_path / "flags.csv"
-        code, summary, _ = run(
-            capsys, "verify", "--case", "4", "--q", "0.5", "--z-re", "1", "--z-im", "0.5",
-            "--tau", "-1/2", "--theta", "1/4", "--lambda", "1/2", "--lambda1", "1/4",
-            "--nmax", "41", "--out", str(flags_out),
-        )
-        assert code == cfg_code == 0
-        assert summary == cfg_summary
-        assert flags_out.read_bytes() == cfg_out.read_bytes()
+        for z_re_text, z_re in (("1", 1.0), ("-1e-1", -0.1)):
+            cfg, cfg_out = write_config(tmp_path, n_max=41, z_re=z_re)
+            cfg_code, cfg_summary, _ = run(capsys, "verify", "--config", str(cfg))
+            flags_out = tmp_path / "flags.csv"
+            code, summary, _ = run(
+                capsys, "verify", "--case", "4", "--q", "0.5", "--z-re", z_re_text, "--z-im", "0.5",
+                "--tau", "-1/2", "--theta", "1/4", "--lambda", "1/2", "--lambda1", "1/4",
+                "--nmax", "41", "--out", str(flags_out),
+            )
+            assert code == cfg_code == 0
+            assert summary == cfg_summary
+            assert flags_out.read_bytes() == cfg_out.read_bytes()
 
     def test_json_rows_format(self, capsys, tmp_path):
         cfg, out_path = write_config(tmp_path, format="json", out=str(tmp_path / "rows.json"))

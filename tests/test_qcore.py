@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import swigert
 from swigert.errors import HypothesisViolated, OutOfRange
 from swigert.qcore import (
     CertifiedValue,
@@ -147,3 +151,16 @@ class TestPochTailRemainders:
 def test_qq_infinity_matches_product():
     for q in (0.2, 0.5, 0.8):
         assert qq_infinity(q) == pytest.approx(qpoch_inf_product(q, q, 600), rel=1e-14)
+
+
+def test_every_lru_cache_is_bounded():
+    # per-q caches keyed on a fresh q per call must not grow for the life
+    # of the process
+    caches = {}
+    for info in pkgutil.iter_modules(swigert.__path__):
+        module = importlib.import_module(f"swigert.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_parameters"):
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+    assert caches
+    assert {name: size for name, size in caches.items() if size is None} == {}

@@ -43,8 +43,6 @@ class TestScalingSplits:
         m, c = sc.minus_tau_split(7)   # 7/3 = 2 + 1/3
         assert (m, c) == (2, pytest.approx(1.0 / 3.0, abs=0))
         assert sc.theta_frac(7) == 0.75
-        m1, d = sc.theta_int_frac(7)
-        assert (m1, d) == (1, 0.75)
 
     def test_integer_hits_have_zero_fraction(self):
         sc = Scaling.make("-1/2", "1/4")
@@ -68,9 +66,3 @@ class TestScalingSplits:
         b = Scaling.make("-1/2", RealParam.irrational(th + 1.0))
         for n in range(1, 60):
             assert a.theta_frac(n) == pytest.approx(b.theta_frac(n), abs=1e-12)
-
-    def test_s_value(self):
-        sc = Scaling.make("1", "3/10")
-        s = sc.s_value(0.5)
-        assert s.real == 3.0
-        assert s.imag == pytest.approx(2.0 * math.pi * 0.3 / math.log(0.5), rel=1e-15)

@@ -8,17 +8,14 @@ import pytest
 from swigert.errors import (
     BadTau,
     DomainTooLarge,
-    IndexOutOfRange,
     PeakOverflow,
     ZeroArgument,
 )
-from swigert.qcore import qpoch_infinite, qq_infinity
+from swigert.qcore import qpoch_infinite, qpoch_q_n, qq_infinity
 from swigert.scaling import RealParam, Scaling
 from swigert.swpoly import (
     log_normalizer,
     log_theta_normalizer,
-    poch_tail_ratio_e,
-    poch_tail_ratio_f,
     scaled_argument,
     sw_direct,
     sw_normalized,
@@ -35,6 +32,11 @@ GRID_THETA = ("0", "1/4", "sqrt2-1")
 
 def make_scaling(tau: str, theta: str) -> Scaling:
     return Scaling.make(tau, theta)
+
+
+def ratio_weight(j: int, n: int, q) -> float:
+    """(q;q)_inf^2 / ((q;q)_j (q;q)_{n-j}), the split sum's weight at j = m//2 -+ k."""
+    return qq_infinity(q) ** 2 / (qpoch_q_n(q, j) * qpoch_q_n(q, n - j))
 
 
 class TestSwDirect:
@@ -129,8 +131,7 @@ class TestSplitSum:
         sc = make_scaling("-1/2", "1/4")
         res = sw_theta_normalized(1, 2.0, sc, 0.5)
         assert res.m == 0 and res.half_m == 0
-        e00 = poch_tail_ratio_e(0, 1, 0, 0.5)
-        assert res.s1 == pytest.approx(complex(e00), rel=1e-13)
+        assert res.s1 == pytest.approx(complex(qq_infinity(0.5) ** 2 / (1 - 0.5)), rel=1e-13)
 
     def test_matches_reversed_sum_after_renormalization(self):
         for q in GRID_Q:
@@ -178,6 +179,9 @@ class TestSplitSum:
 
 
 class TestPochTailRatios:
+    """The split sum's ratio weights e(k) = ratio_weight(m//2 - k, n) and
+    f(k) = ratio_weight(m//2 + k, n)."""
+
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(32)
         for _ in range(300):
@@ -186,22 +190,22 @@ class TestPochTailRatios:
             m = int(rng.integers(0, n))
             half = m // 2
             k_e = int(rng.integers(0, half + 1))
-            assert 0.0 < poch_tail_ratio_e(k_e, n, m, q) <= 1.0
+            assert 0.0 < ratio_weight(half - k_e, n, q) <= 1.0
             if n - half >= 1:
                 k_f = int(rng.integers(1, n - half + 1))
-                assert 0.0 < poch_tail_ratio_f(k_f, n, m, q) <= 1.0
+                assert 0.0 < ratio_weight(half + k_f, n, q) <= 1.0
 
     def test_e_limit_at_full_offset(self):
-        # k = m//2 collapses the first factor; the ratio tends to (q;q)_inf
+        # e at k = m//2 (j = 0) collapses the first factor; the ratio tends to (q;q)_inf
         q = 0.5
         for n in (50, 200, 800):
-            m = n // 2
-            val = poch_tail_ratio_e(m // 2, n, m, q)
+            val = ratio_weight(0, n, q)
             assert val == pytest.approx(qq_infinity(q), rel=1e-10)
 
     def test_f_boundary_value(self):
-        q, n, m = 0.5, 40, 20
-        val = poch_tail_ratio_f(n - m // 2, n, m, q)
+        # f at k = n - m//2 (j = n)
+        q, n = 0.5, 40
+        val = ratio_weight(n, n, q)
         expected = qq_infinity(q) ** 2 / qpoch_product(q, q, n)
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -218,17 +222,57 @@ class TestPochTailRatios:
                     continue
                 cap = 3.0 * growth**2 * q ** (nu + 2) / (1.0 - q) ** 2
                 for k in range(0, nu):
-                    assert abs(poch_tail_ratio_e(k, n, m, q) - 1.0) <= cap
+                    assert abs(ratio_weight(m // 2 - k, n, q) - 1.0) <= cap
                 for k in range(1, nu):
-                    assert abs(poch_tail_ratio_f(k, n, m, q) - 1.0) <= cap
+                    assert abs(ratio_weight(m // 2 + k, n, q) - 1.0) <= cap
 
-    def test_index_windows(self):
-        with pytest.raises(IndexOutOfRange):
-            poch_tail_ratio_e(6, 20, 10, 0.5)
-        with pytest.raises(IndexOutOfRange):
-            poch_tail_ratio_f(0, 20, 10, 0.5)
-        with pytest.raises(IndexOutOfRange):
-            poch_tail_ratio_f(16, 20, 10, 0.5)
+
+IRRATIONAL_TAU = Scaling.make(RealParam.irrational(-(math.sqrt(2.0) - 1.0)), "1/4")
+
+# repr of value, s1, s2 recorded before the split sum's two wing loops became
+# one; any reordering of the floating-point operations shows here.
+SPLIT_GOLDEN = [
+    (1, 2.0, ("-1/2", "1/4"), 0.5, None,
+     "(0.16679712772749702-0.058971690049275924j)", "(0.16679712772749702+0j)",
+     "(-3.610974572957779e-18-0.058971690049275924j)"),
+    (12, 1.0 + 0.5j, IRRATIONAL_TAU, 0.5, 1,
+     "(0.04293069020058893+0.141489999292982j)", "(0.6255754860332847-0.06895019844872755j)",
+     "(-0.5826447958326958+0.21044019774170955j)"),
+    (20_001, 1.0 + 0.5j, ("-1/2", "1/4"), 0.5, None,
+     "(0.4617689798277715-0.16287927965610433j)", "(0.800733613229807+0.3221364728902486j)",
+     "(-0.3389646334020355-0.48501575254635293j)"),
+    (40, 0.5 + 1.0j, ("-3/2", "sqrt2-1"), 0.3, None,
+     "(1.4743480784210503+0.04556937142495279j)", "(1.2637190488436627+0.21989541227607154j)",
+     "(0.21062902957738755-0.17432604085111875j)"),
+    (40, 0.5 + 1.0j, ("-3/2", "sqrt2-1"), 0.7, None,
+     "(2.0201103661367807+0.26086123144790074j)", "(1.5519252021611838+0.8029369601771911j)",
+     "(0.468185163975597-0.5420757287292903j)"),
+]
+
+NORMALIZED_GOLDEN = [
+    (1, 1.0 + 0.5j, ("-1/2", "1/4"), 0.5, "(1.4343145750507618-1.131370849898476j)"),
+    (12, 1.0 + 0.5j, IRRATIONAL_TAU, 0.5, "(81.89327534462973+29.792353328050435j)"),
+    (20_001, 1.0 + 0.5j, ("1/2", "sqrt2-1"), 0.5, "(3.462746619455064+0j)"),
+    (40, 0.5 + 1.0j, ("1/3", "1/4"), 0.3, "(1.63225821350548+5.9729030769416e-08j)"),
+    (40, 0.5 + 1.0j, ("1/3", "1/4"), 0.7, "(23.440686185378656+0.3777348730210284j)"),
+]
+
+
+def golden_scaling(spec) -> Scaling:
+    return spec if isinstance(spec, Scaling) else make_scaling(*spec)
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("n, z, spec, q, m_shift, value, s1, s2", SPLIT_GOLDEN)
+    def test_split_sum_bits(self, n, z, spec, q, m_shift, value, s1, s2):
+        sc = golden_scaling(spec)
+        m = None if m_shift is None else sc.minus_tau_split(n)[0] + m_shift
+        res = sw_theta_normalized(n, z, sc, q, m=m)
+        assert (repr(res.value), repr(res.s1), repr(res.s2)) == (value, s1, s2)
+
+    @pytest.mark.parametrize("n, z, spec, q, value", NORMALIZED_GOLDEN)
+    def test_reversed_sum_bits(self, n, z, spec, q, value):
+        assert repr(sw_normalized(n, z, golden_scaling(spec), q)) == value
 
 
 class TestScaledArgument:
