@@ -21,7 +21,6 @@ from .asymptotics import (
 from .diophantine import (
     DiophantineWitness,
     PairedWitness,
-    cf_convergents,
     chi,
     lattice_progression,
     witness_search,

@@ -157,7 +157,7 @@ def _cmd_witness(args) -> int:
         theta2 = RealParam.parse(args.theta2).value
         wits = witness_search_pair(theta, theta2, args.beta, args.beta2 or 0.0, args.rho, args.nmax)
     else:
-        wits = witness_search(theta, args.beta, args.rho, args.nmax, method=args.method)
+        wits = witness_search(theta, args.beta, args.rho, args.nmax)
     text = witnesses_to_csv(wits)
     if args.out:
         _write_text(args.out, text)
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--nmax", type=int, required=True)
     p_wit.add_argument("--theta2", default=None)
     p_wit.add_argument("--beta2", type=float, default=None)
-    p_wit.add_argument("--method", choices=("scan", "cf"), default="scan")
     p_wit.add_argument("--out", default=None)
     p_wit.set_defaults(func=_cmd_witness)
 

@@ -1,4 +1,4 @@
-"""Lattice progressions, continued fractions, and approximation witness searches.
+"""Lattice progressions and approximation witness searches.
 
 On a rational orbit the indices with prescribed fractional parts form an
 arithmetic progression (``lattice_progression``, a CRT over the conditions).
@@ -6,14 +6,14 @@ arithmetic progression (``lattice_progression``, a CRT over the conditions).
 A witness at quality rho is a positive integer n whose orbit point n*theta
 lands within n**(-rho) of beta modulo 1; the index sequences feeding the
 asymptotic sweeps in the irrational regimes are exactly such witnesses
-(single or paired).  Searches scan exhaustively at desk scale with a
-vectorized prefilter, and every returned witness is reconfirmed in exact
-rational arithmetic so that a borderline float never slips through.  For
-homogeneous targets (beta = 0) a continued-fraction fast path enumerates
-convergent and semiconvergent denominators instead of scanning.
+(single or paired).  ``witness_search`` takes its candidates from the exact
+continued fraction of theta for a homogeneous target (beta = 0) at rho >= 1,
+and from a vectorized scan of every index otherwise.  Every candidate is
+reconfirmed in exact rational arithmetic, so a borderline float never slips
+through.
 
 The represented double is treated as the ground-truth theta throughout, so
-scan, fast path, and the asymptotic verifier all agree on the same number.
+scan, ladder, and the asymptotic verifier all agree on the same number.
 """
 
 from __future__ import annotations
@@ -61,31 +61,6 @@ class PairedWitness:
     b_n: float
 
 
-def cf_convergents(x: float, count: int) -> list[tuple[int, int]]:
-    """First ``count`` continued-fraction convergents (p, q) of x.
-
-    Terminates early when the remaining fractional part drops below 1e-15,
-    i.e. when x is exhausted as a rational at double precision.  Each
-    convergent satisfies |q*x - p| < 1/q.
-    """
-    if count < 1:
-        raise OutOfRange(f"count must be >= 1, got {count}")
-    out: list[tuple[int, int]] = []
-    p_prev, q_prev = 0, 1
-    p_cur, q_cur = 1, 0
-    y = float(x)
-    for _ in range(count):
-        a = math.floor(y)
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append((p_cur, q_cur))
-        rem = y - a
-        if rem < 1e-15:
-            break
-        y = 1.0 / rem
-    return out
-
-
 def exact_residual(n: int, theta: float, beta: float, m: int) -> float:
     """n*theta - beta - m evaluated in exact rational arithmetic, then rounded."""
     return float(Fraction(theta) * n - Fraction(beta) - m)
@@ -103,11 +78,62 @@ def _confirm(n: int, theta: float, beta: float, rho: float) -> Optional[tuple[in
 
 
 def _scan_prefilter(theta: float, beta: float, rho: float, n_max: int) -> np.ndarray:
-    """Vectorized candidate pass with slack; exact confirmation happens later."""
+    """Vectorized candidate pass with slack; exact confirmation happens later.
+
+    The slack is four times a bound on the rounding error of resid at every
+    n <= n_max, (n_max |theta| + |beta| + 2) * 2**-52.
+    """
     n = np.arange(1, n_max + 1, dtype=np.float64)
     resid = np.abs(np.mod(n * theta - beta + 0.5, 1.0) - 0.5)
-    window = n ** (-rho)
-    return np.nonzero(resid < window * (1.0 + 1e-9) + 1e-12)[0] + 1
+    slack = (n_max * abs(theta) + abs(beta) + 2.0) * 2.0**-50
+    return np.nonzero(resid < n ** (-rho) * (1.0 + 1e-9) + (1e-12 + slack))[0] + 1
+
+
+def _partial_quotients(x: float):
+    """Partial quotients a_0, a_1, ... of the double x, exact; ends when x is used up."""
+    num, den = Fraction(x).as_integer_ratio()
+    while den:
+        a, rem = divmod(num, den)
+        yield a
+        num, den = den, rem
+
+
+def _ladder(theta: float, rho: float, n_max: int) -> list[int]:
+    """Candidates n <= n_max holding every n with dist(n*theta, Z) < n**(-rho), for rho >= 1.
+
+    Let n be such a witness with nearest integer m.  If gcd(n, m) = 1, then
+    |theta - m/n| < 1/n**2, so m/n is a convergent or an intermediate fraction
+    (j*p_(k-1) + p_(k-2)) / (j*q_(k-1) + q_(k-2)), 1 <= j <= a_k.  If n = g*n'
+    with g >= 2, then |theta - m'/n'| < 1/(2 n'**2), so m'/n' = p_k/q_k is a
+    convergent (Legendre).  The rounded window does not break the first step:
+    a reduced m/n off that ladder lies at least 1/(n(n-1)) from theta.  Along j
+    the distance |n*theta - m| is linear, and along g it grows while the window
+    shrinks, so the hits of each run sit at its ends; each run is walked inward
+    while the distance, taken exactly, stays within twice the window.
+    """
+    num, den = Fraction(theta).as_integer_ratio()
+
+    def near(n: int, m: int) -> bool:
+        return abs(n * num - m * den) / den <= 2.0 * float(n) ** (-rho)
+
+    out = {1}
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in _partial_quotients(theta):
+        if q:
+            js = range(1, min(a, (n_max - q_prev) // q) + 1)
+            for run in (js, reversed(js)):
+                for j in run:
+                    if not near(j * q + q_prev, j * p + p_prev):
+                        break
+                    out.add(j * q + q_prev)
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        if q > n_max:
+            break
+        for g in range(2, n_max // q + 1):
+            if not near(g * q, g * p):
+                break
+            out.add(g * q)
+    return sorted(out)
 
 
 def _check_search_args(rho: float, n_max: int) -> None:
@@ -119,58 +145,25 @@ def _check_search_args(rho: float, n_max: int) -> None:
         raise OutOfRange(f"rho must be > 0, got {rho!r}")
 
 
-def witness_search(
-    theta: float,
-    beta: float,
-    rho: float,
-    n_max: int,
-    method: str = "scan",
-) -> list[DiophantineWitness]:
+def witness_search(theta: float, beta: float, rho: float, n_max: int) -> list[DiophantineWitness]:
     """All n <= n_max with dist(n*theta - beta, Z) < n**(-rho), sorted by n.
 
-    ``method="scan"`` is the exhaustive reference path.  ``method="cf"``
-    (homogeneous targets only) walks convergent and semiconvergent
-    denominators of theta and keeps those passing the same exact inequality;
-    the two paths agree wherever every solution denominator is a
-    semiconvergent, which holds for the quadratic irrationals exercised in
-    the sweeps.
+    Homogeneous targets at rho >= 1 take their candidates from the
+    continued-fraction ladder of theta; every other input scans all indices.
     """
     _check_search_args(rho, n_max)
-    if method == "scan":
-        candidates = _scan_prefilter(float(theta), float(beta), rho, n_max)
-    elif method == "cf":
-        if beta != 0.0:
-            raise OutOfRange("the continued-fraction fast path requires beta = 0")
-        candidates = _semiconvergent_denominators(float(theta), n_max)
+    theta, beta = float(theta), float(beta)
+    if beta == 0.0 and rho >= 1.0:
+        candidates = _ladder(theta, rho, n_max)
     else:
-        raise OutOfRange(f"unknown method {method!r}")
+        candidates = _scan_prefilter(theta, beta, rho, n_max)
     out = []
     for n in candidates:
-        hit = _confirm(int(n), float(theta), float(beta), rho)
+        hit = _confirm(int(n), theta, beta, rho)
         if hit is not None:
             m, residual = hit
-            out.append(DiophantineWitness(n=int(n), m=m, residual=residual, beta=float(beta), rho=rho))
+            out.append(DiophantineWitness(n=int(n), m=m, residual=residual, beta=beta, rho=rho))
     return out
-
-
-def _semiconvergent_denominators(theta: float, n_max: int) -> list[int]:
-    """Denominators j*q_i + q_{i-1} (1 <= j <= a_{i+1}) of theta, up to n_max."""
-    denoms = {1}
-    q_prev, q_cur = 0, 1
-    y = theta
-    a = math.floor(y)
-    rem = y - a
-    while q_cur <= n_max and rem >= 1e-15:
-        y = 1.0 / rem
-        a = math.floor(y)
-        rem = y - a
-        for j in range(1, a + 1):
-            cand = j * q_cur + q_prev
-            if cand > n_max:
-                break
-            denoms.add(cand)
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return sorted(denoms)
 
 
 def witness_search_pair(

@@ -8,13 +8,30 @@ endings and a '.' decimal separator regardless of locale.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .asymptotics import CaseParams, CaseVerificationRow, VerificationSummary
 from .diophantine import DiophantineWitness, PairedWitness
 
-ROW_HEADER = "n,lhs_re,lhs_im,main_re,main_im,abs_err,bound,within,nu_n,witness_m,witness_residual"
+# The row schema, in column order: (column, getter); a missing value is None.
+_ROW_COLUMNS = (
+    ("n", attrgetter("n")),
+    ("lhs_re", attrgetter("lhs.real")),
+    ("lhs_im", attrgetter("lhs.imag")),
+    ("main_re", attrgetter("main.real")),
+    ("main_im", attrgetter("main.imag")),
+    ("abs_err", attrgetter("abs_err")),
+    ("bound", attrgetter("bound")),
+    ("within", attrgetter("within")),
+    ("nu_n", attrgetter("nu_n")),
+    ("witness_m", lambda r: None if r.witness is None else r.witness.m),
+    ("witness_residual", lambda r: None if r.witness is None else r.witness.residual),
+)
+
+ROW_HEADER = ",".join(column for column, _ in _ROW_COLUMNS)
 
 WITNESS_HEADER = "n,m,residual"
 PAIRED_WITNESS_HEADER = "n,m,residual,m1,residual2"
@@ -32,45 +49,12 @@ def fmt(x) -> str:
 def rows_to_csv(rows: Sequence[CaseVerificationRow]) -> str:
     lines = [ROW_HEADER]
     for r in rows:
-        w_m = fmt(r.witness.m) if r.witness is not None else ""
-        w_res = fmt(r.witness.residual) if r.witness is not None else ""
-        lines.append(
-            ",".join(
-                (
-                    fmt(r.n),
-                    fmt(r.lhs.real),
-                    fmt(r.lhs.imag),
-                    fmt(r.main.real),
-                    fmt(r.main.imag),
-                    fmt(r.abs_err),
-                    fmt(r.bound),
-                    fmt(r.within),
-                    fmt(r.nu_n),
-                    w_m,
-                    w_res,
-                )
-            )
-        )
+        lines.append(",".join(["" if (v := get(r)) is None else fmt(v) for _, get in _ROW_COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Sequence[CaseVerificationRow]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "lhs_re": r.lhs.real,
-            "lhs_im": r.lhs.imag,
-            "main_re": r.main.real,
-            "main_im": r.main.imag,
-            "abs_err": r.abs_err,
-            "bound": r.bound,
-            "within": r.within,
-            "nu_n": r.nu_n,
-            "witness_m": r.witness.m if r.witness is not None else None,
-            "witness_residual": r.witness.residual if r.witness is not None else None,
-        }
-        for r in rows
-    ]
+    payload = [{column: get(r) for column, get in _ROW_COLUMNS} for r in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -111,13 +95,7 @@ def summary_to_json(
     payload = {
         "case": params.case_id,
         "params": params_payload(params, z, q),
-        "n_min_within": summary.n_min_within,
-        "max_err_at_tail": summary.max_err_at_tail,
-        "all_within_after_n_min": summary.all_within_after_n_min,
-        "n_first": summary.n_first,
-        "n_last": summary.n_last,
-        "err_first": summary.err_first,
-        "err_last": summary.err_last,
+        **dataclasses.asdict(summary),
         "n_count": n_count,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

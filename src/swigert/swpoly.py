@@ -179,10 +179,6 @@ class SplitSumResult:
     s1: complex
     s2: complex
 
-    @property
-    def half_m(self) -> int:
-        return self.m // 2
-
 
 def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumResult:
     """Theta-centered split evaluation, stable for all n when -2 < tau < 0.

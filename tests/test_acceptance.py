@@ -15,7 +15,7 @@ import numpy as np
 
 from swigert.asymptotics import CaseParams, candidates_for_case, summarize_rows, verify
 from swigert.cli import main as cli_main
-from swigert.diophantine import witness_search
+from swigert.diophantine import _confirm, _scan_prefilter, witness_search
 from swigert.qcore import poch_tail_remainders
 from swigert.qspecial import Aq_derivative, Bq, ramanujan_Aq, theta_product, theta_series
 from swigert.scaling import Scaling
@@ -263,8 +263,9 @@ def _sqrt2_catalog(n_max):
 
 def test_criterion_09_witness_catalog():
     target = _sqrt2_catalog(100)
-    scan = {w.n for w in witness_search(math.sqrt(2.0), 0.0, 1.0, 100, method="scan")}
-    fast = {w.n for w in witness_search(math.sqrt(2.0), 0.0, 1.0, 100, method="cf")}
+    sqrt2 = math.sqrt(2.0)
+    scan = {int(n) for n in _scan_prefilter(sqrt2, 0.0, 1.0, 100) if _confirm(int(n), sqrt2, 0.0, 1.0)}
+    fast = {w.n for w in witness_search(sqrt2, 0.0, 1.0, 100)}
 
     n = np.arange(1, 10**4 + 1, dtype=np.float64)
     chebyshev_counts = []

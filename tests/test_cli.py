@@ -88,6 +88,12 @@ class TestWitnessCmd:
                            "--rho", "0.4", "--nmax", "100")
         assert code == 0 and out.startswith("n,m,residual,m1,residual2\n")
 
+    def test_method_flag_removed(self, capsys):
+        # the candidate path follows from beta and rho; there is nothing to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--theta", "sqrt2", "--rho", "1", "--nmax", "100", "--method", "cf"])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "w.csv"
         code, out, _ = run(capsys, "witness", "--theta", "sqrt2", "--rho", "1",

@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swigert.diophantine import (
     DiophantineWitness,
-    cf_convergents,
+    _confirm,
+    _partial_quotients,
+    _scan_prefilter,
     chi,
     exact_residual,
     lattice_progression,
@@ -19,6 +24,32 @@ from swigert.scaling import RealParam
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def convergents(x, count):
+    """First ``count`` convergents (p, q) of x (all when None), from its partial quotients."""
+    out = []
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in islice(_partial_quotients(x), count):
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        out.append((p, q))
+    return out
+
+
+def reference_scan(theta, beta, rho, n_max):
+    """Indices of the exhaustive scan that pass the exact recheck."""
+    return [int(n) for n in _scan_prefilter(theta, beta, rho, n_max) if _confirm(int(n), theta, beta, rho)]
+
+
+def exact_catalog(theta, rho, n_max):
+    """All n <= n_max with dist(n*theta, Z) < float(n)**(-rho), decided in integers."""
+    num, den = theta.as_integer_ratio()
+    out = []
+    for n in range(1, n_max + 1):
+        r = n * num % den
+        if Fraction(min(r, den - r), den) < Fraction(float(n) ** (-rho)):
+            out.append(n)
+    return out
 
 
 class TestChi:
@@ -62,25 +93,30 @@ class TestLattice:
 
 class TestConvergents:
     def test_sqrt2(self):
-        assert cf_convergents(SQRT2, 5) == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
+        assert list(islice(_partial_quotients(SQRT2), 20)) == [1] + [2] * 19
+        assert convergents(SQRT2, 5) == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
 
     def test_rational_terminates(self):
-        assert cf_convergents(0.5, 10) == [(0, 1), (1, 2)]
+        assert list(_partial_quotients(0.5)) == [0, 2]
+        assert convergents(0.5, 10) == [(0, 1), (1, 2)]
 
     def test_golden_ratio_gives_fibonacci(self):
-        qs = [q for _, q in cf_convergents(PHI, 10)]
+        assert list(islice(_partial_quotients(PHI), 30)) == [1] * 30
+        qs = [q for _, q in convergents(PHI, 10)]
         fib = [1, 1]
         while len(fib) < 12:
             fib.append(fib[-1] + fib[-2])
         assert qs == fib[:10]
 
     def test_approximation_quality(self):
-        for p, q in cf_convergents(SQRT3, 12):
+        for p, q in convergents(SQRT3, 12):
             assert abs(q * SQRT3 - p) < 1.0 / q
 
-    def test_count_must_be_positive(self):
-        with pytest.raises(OutOfRange):
-            cf_convergents(SQRT2, 0)
+    def test_expansion_is_exact(self):
+        # the double is used up exactly: the last convergent is the double itself
+        for x in (SQRT2, -math.pi, 355 / 113, 1e-7):
+            p, q = convergents(x, None)[-1]
+            assert Fraction(p, q) == Fraction(x)
 
 
 class TestWitnessSearch:
@@ -107,22 +143,35 @@ class TestWitnessSearch:
         assert all(w.n <= 10**4 for w in wits)
 
     def test_cf_path_agrees_with_scan(self):
-        for theta in (SQRT2, PHI, SQRT3):
-            scan = [w.n for w in witness_search(theta, 0.0, 1.0, 10**4, method="scan")]
-            fast = [w.n for w in witness_search(theta, 0.0, 1.0, 10**4, method="cf")]
+        for theta in (SQRT2, PHI, SQRT3, math.pi, math.e - 2.0):
+            scan = reference_scan(theta, 0.0, 1.0, 10**4)
+            fast = [w.n for w in witness_search(theta, 0.0, 1.0, 10**4)]
             assert scan == fast
 
-    def test_cf_path_needs_homogeneous_target(self):
-        with pytest.raises(OutOfRange):
-            witness_search(SQRT2, 0.1, 1.0, 100, method="cf")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(min_value=-3.0, max_value=3.0, exclude_min=True, exclude_max=True),
+        rho=st.floats(min_value=1.0, max_value=3.0),
+        n_max=st.integers(min_value=1, max_value=2 * 10**4),
+    )
+    def test_ladder_equals_reference_scan(self, theta, rho, n_max):
+        assert [w.n for w in witness_search(theta, 0.0, rho, n_max)] == reference_scan(theta, 0.0, rho, n_max)
+
+    def test_no_witness_dropped_near_a_rational(self):
+        # n*theta rounds by more than a 1e-12 padding here: without its rounding
+        # slack the scan misses the multiples of 113 from n = 132 323 on
+        theta = 355 / 113
+        catalog = exact_catalog(theta, 2.0, 2 * 10**5)
+        assert len(catalog) == 1467
+        assert [w.n for w in witness_search(theta, 0.0, 2.0, 2 * 10**5)] == catalog
+        pairs = witness_search_pair(theta, theta, 0.0, 0.0, 2.0, 2 * 10**5)
+        assert [w.n for w in pairs] == catalog
 
     def test_bad_arguments(self):
         with pytest.raises(OutOfRange):
             witness_search(SQRT2, 0.0, 1.0, 0)
         with pytest.raises(OutOfRange):
             witness_search(SQRT2, 0.0, -1.0, 10)
-        with pytest.raises(OutOfRange):
-            witness_search(SQRT2, 0.0, 1.0, 10, method="bogus")
 
     def test_chebyshev_quality_counts(self):
         # For every offset target, the orbit of sqrt(2) delivers witnesses of

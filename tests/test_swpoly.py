@@ -130,7 +130,7 @@ class TestSplitSum:
         # for n = 1, m = 0: the ascending half is the single k = 0 term
         sc = make_scaling("-1/2", "1/4")
         res = sw_theta_normalized(1, 2.0, sc, 0.5)
-        assert res.m == 0 and res.half_m == 0
+        assert res.m == 0
         assert res.s1 == pytest.approx(complex(qq_infinity(0.5) ** 2 / (1 - 0.5)), rel=1e-13)
 
     def test_matches_reversed_sum_after_renormalization(self):
