@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 from .diophantine import (
     DiophantineWitness,
+    _nearest,
     chi,
     lattice_progression,
     witness_search,
@@ -189,13 +190,8 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
     if reg.witnesses:
         return math.floor(qv**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / qv)))
     if len(reg.targets) == 2:
-        if scaling.tau.is_rational:
-            t = scaling.tau.fraction
-            a = (2 + t) * n / 8
-            b = -t * n / 8
-            return min(a.numerator // a.denominator, b.numerator // b.denominator)
-        t = scaling.tau.value
-        return min(math.floor((2.0 + t) * n / 8.0), math.floor(-t * n / 8.0))
+        p, r = scaling.tau.fraction.as_integer_ratio()
+        return min((2 * r + p) * n // (8 * r), -p * n // (8 * r))
     return 0
 
 
@@ -300,14 +296,12 @@ def compute_row(case_id: int, params: CaseParams, z, q, n: int) -> CaseVerificat
     qv = QParam.of(q).q
     sc = params.scaling
     zc = complex(z)
-    witness = None
-    m_arg = None
+    witness = m_arg = None
     if reg.witnesses:
         axis, name = reg.witnesses[0]
         beta = getattr(params, name)
-        y = _axis(sc, axis)[1] * n - beta
-        m_w = math.floor(y + 0.5)
-        witness = DiophantineWitness(n=n, m=m_w, residual=y - m_w, beta=beta, rho=params.rho)
+        m_w, r, d = _nearest(n, _axis(sc, axis)[1], beta)
+        witness = DiophantineWitness(n=n, m=m_w, residual=r / d, beta=beta, rho=params.rho)
         if axis == "-tau":
             m_arg = m_w
     if len(reg.targets) == 2:

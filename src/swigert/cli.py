@@ -9,6 +9,12 @@ verify   run one regime sweep; write a CSV (or JSON) of verification rows
          plus a JSON summary; exit 0 iff the bound held from some index on
 sweep    run a batch of verify configs from one JSON file
 
+A verify config holds the same settings as the verify flags, under the
+flags' names (``--case`` is ``case_id``, ``--nmin``/``--nmax``/``--nstep``
+are ``n_min``/``n_max``/``n_step``).  Flags and config files alike are
+defaulted and validated by ``SweepConfig.from_dict`` alone; a bad setting
+exits 2 with the setting named.
+
 Scaling values accept exact rationals ("1/3", "0.25"), symbolic tokens
 (sqrt2, sqrt3, phi, e, pi, optionally negated/offset like "sqrt2-1"), or
 raw decimals, which are read as their shortest-decimal rationals.  Reports
@@ -19,55 +25,52 @@ parallel.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from .asymptotics import (
-    CaseParams,
-    candidates_for_case,
-    summarize_rows,
-    verify,
-)
+from .asymptotics import CaseParams, candidates_for_case, summarize_rows, verify
 from .errors import SwigertError
 from .diophantine import witness_search, witness_search_pair
-from .qcore import qpoch_finite, qpoch_infinite
+from .qcore import CertifiedValue, qpoch_finite, qpoch_infinite
 from .qspecial import Bq, ramanujan_Aq, theta_product, theta_series
 from .report import rows_to_csv, rows_to_json, summary_to_json, witnesses_to_csv
 from .scaling import RealParam, Scaling
 
-_EVAL_FUNCTIONS = ("Aq", "Bq", "theta_series", "theta_product", "qpoch")
-
 
 def _parse_target(text) -> Optional[object]:
     """Fractional target from config/CLI: Fraction when exact, float otherwise."""
-    if text is None:
-        return None
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip()
+    if text is None or isinstance(text, float):
+        return text
     try:
-        return Fraction(s)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        param = RealParam.parse(s)
-        return float(param.value)
+        return RealParam.parse(text).value
+
+
+def _accepted_types(hint) -> tuple:
+    """Python types a JSON value may take for a field annotation; float takes int too (read as float)."""
+    types = typing.get_args(hint) or (hint,)
+    return types + (int,) if float in types else types
 
 
 @dataclass
 class SweepConfig:
-    """One verify run, mirroring the JSON config field names."""
+    """One verify run; each field is a config key and a verify flag dest (``lambda_`` is ``lambda``)."""
 
     case_id: int
     q: float
-    z_re: float
-    z_im: float
-    tau: object
-    theta: object
-    lambda_: Optional[object] = None
-    lambda1: Optional[object] = None
+    tau: Union[str, float]
+    theta: Union[str, float]
+    z_re: float = 1.0
+    z_im: float = 0.0
+    lambda_: Union[str, float, None] = None
+    lambda1: Union[str, float, None] = None
     beta: Optional[float] = None
     beta1: Optional[float] = None
     beta2: Optional[float] = None
@@ -75,38 +78,51 @@ class SweepConfig:
     n_min: int = 1
     n_max: int = 100
     n_step: int = 1
-    candidates: Optional[list] = None
     out: str = "report.csv"
     format: str = "csv"
     jobs: int = 1
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepConfig":
-        known = {
-            "case_id", "q", "z_re", "z_im", "tau", "theta", "lambda", "lambda1",
-            "beta", "beta1", "beta2", "rho", "n_min", "n_max", "n_step",
-            "candidates", "out", "format", "jobs",
-        }
-        unknown = set(d) - known
+    def from_dict(cls, d) -> "SweepConfig":
+        """Default and validate one sweep's settings: the only reader of config keys and verify flags."""
+        if not isinstance(d, dict):
+            raise SwigertError(f"a sweep config must be a JSON object, got {type(d).__name__}")
+        names = {f.name.rstrip("_"): f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(d) - set(names))
         if unknown:
-            raise SwigertError(f"unknown config fields: {sorted(unknown)}")
-        d = dict(d)
-        if "lambda" in d:
-            d["lambda_"] = d.pop("lambda")
-        return cls(**d)
+            raise SwigertError(f"unknown config fields: {unknown}")
+        missing = [key for key, f in names.items() if f.default is dataclasses.MISSING and key not in d]
+        if missing:
+            raise SwigertError(f"missing config fields: {missing}")
+        values = {}
+        for key, value in d.items():
+            types = _accepted_types(_SWEEP_HINTS[names[key].name])
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join(t.__name__ for t in types if t is not type(None))
+                raise SwigertError(f"config field {key} must be {expected}, got {value!r}")
+            values[names[key].name] = float(value) if float in types and isinstance(value, int) else value
+        config = cls(**values)
+        if config.format not in ("csv", "json"):
+            raise SwigertError(f"config field format must be csv or json, got {config.format!r}")
+        if config.jobs < 1:
+            raise SwigertError(f"config field jobs must be >= 1, got {config.jobs}")
+        return config
 
     def case_params(self) -> CaseParams:
-        scaling = Scaling.make(self.tau, self.theta)
         return CaseParams(
-            case_id=int(self.case_id),
-            scaling=scaling,
+            case_id=self.case_id,
+            scaling=Scaling.make(self.tau, self.theta),
             lambda_=_parse_target(self.lambda_),
             lambda1=_parse_target(self.lambda1),
-            beta=None if self.beta is None else float(self.beta),
-            beta1=None if self.beta1 is None else float(self.beta1),
-            beta2=None if self.beta2 is None else float(self.beta2),
-            rho=None if self.rho is None else float(self.rho),
+            beta=self.beta, beta1=self.beta1, beta2=self.beta2, rho=self.rho,
         )
+
+
+_SWEEP_HINTS = typing.get_type_hints(SweepConfig)   # evaluated once: from_dict runs per sweep
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -118,36 +134,28 @@ def _summary_path(out: str) -> str:
     return str(p.with_suffix("")) + ".summary.json" if p.suffix in (".csv", ".json") else out + ".summary.json"
 
 
+def _eval_qpoch(z: complex, a: complex, args) -> CertifiedValue:
+    if args.n is None:
+        raise SwigertError("eval qpoch requires --n (a nonnegative integer or 'inf')")
+    a = a if a.imag != 0.0 else a.real
+    if args.n.strip().lower() in ("inf", "infinity"):
+        return qpoch_infinite(a, args.q, args.tol)
+    return CertifiedValue(qpoch_finite(a, args.q, int(args.n)), 0.0)
+
+
+_EVAL_FUNCTIONS = {
+    "Aq": lambda z, a, args: ramanujan_Aq(z, args.q, args.tol),
+    "Bq": lambda z, a, args: Bq(z.real, args.q, args.tol),
+    "theta_series": lambda z, a, args: theta_series(z, args.q, args.tol),
+    "theta_product": lambda z, a, args: theta_product(z, args.q, args.tol),
+    "qpoch": _eval_qpoch,
+}
+
+
 def _cmd_eval(args) -> int:
-    q = args.q
-    tol = args.tol
-    z = complex(args.z_re if args.z_re is not None else args.z or 0.0, args.z_im or 0.0)
-    a = complex(args.a_re if args.a_re is not None else args.a or 0.0, args.a_im or 0.0)
-    name = args.function
-    if name == "Aq":
-        cv = ramanujan_Aq(z, q, tol)
-    elif name == "Bq":
-        cv = Bq(z.real, q, tol)
-    elif name == "theta_series":
-        cv = theta_series(z, q, tol)
-    elif name == "theta_product":
-        cv = theta_product(z, q, tol)
-    else:
-        if args.n is None:
-            raise SwigertError("eval qpoch requires --n (a nonnegative integer or 'inf')")
-        if args.n.strip().lower() in ("inf", "infinity"):
-            cv = qpoch_infinite(a if a.imag != 0.0 else a.real, q, tol)
-        else:
-            value = qpoch_finite(a if a.imag != 0.0 else a.real, q, int(args.n))
-            record = {"value_re": complex(value).real, "value_im": complex(value).imag, "tail_bound": 0.0}
-            print(json.dumps(record, sort_keys=True))
-            return 0
-    record = {
-        "value_re": complex(cv.value).real,
-        "value_im": complex(cv.value).imag,
-        "tail_bound": cv.tail_bound,
-    }
-    print(json.dumps(record, sort_keys=True))
+    cv = _EVAL_FUNCTIONS[args.function](complex(args.z_re, args.z_im), complex(args.a_re, args.a_im), args)
+    value = complex(cv.value)
+    print(json.dumps({"value_re": value.real, "value_im": value.imag, "tail_bound": cv.tail_bound}, sort_keys=True))
     return 0
 
 
@@ -169,10 +177,7 @@ def _cmd_witness(args) -> int:
 def _run_sweep(config: SweepConfig) -> int:
     params = config.case_params()
     z = complex(config.z_re, config.z_im)
-    if config.candidates is not None:
-        ns = [int(n) for n in config.candidates]
-    else:
-        ns = candidates_for_case(config.case_id, params, config.n_min, config.n_max, config.n_step)
+    ns = candidates_for_case(config.case_id, params, config.n_min, config.n_max, config.n_step)
     rows = verify(config.case_id, params, z, config.q, ns, jobs=config.jobs)
     summary = summarize_rows(rows)
     body = rows_to_json(rows) if config.format == "json" else rows_to_csv(rows)
@@ -183,46 +188,20 @@ def _run_sweep(config: SweepConfig) -> int:
     return 0 if summary.all_within_after_n_min else 1
 
 
-def _config_from_args(args) -> SweepConfig:
-    if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        return SweepConfig.from_dict(data)
-    missing = [k for k in ("case", "q", "tau", "theta", "nmax") if getattr(args, k, None) is None]
-    if missing:
-        raise SwigertError(f"verify needs --config or flags; missing: {missing}")
-    return SweepConfig(
-        case_id=args.case,
-        q=args.q,
-        z_re=args.z_re if args.z_re is not None else 1.0,
-        z_im=args.z_im or 0.0,
-        tau=args.tau,
-        theta=args.theta,
-        lambda_=args.lambda_,
-        lambda1=args.lambda1,
-        beta=args.beta,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        rho=args.rho,
-        n_min=args.nmin,
-        n_max=args.nmax,
-        n_step=args.nstep,
-        out=args.out,
-        format=args.format,
-        jobs=args.jobs,
-    )
-
-
 def _cmd_verify(args) -> int:
-    return _run_sweep(_config_from_args(args))
+    """The config file's settings when --config is given, else the flags that were set."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    path = flags.pop("config", None)
+    return _run_sweep(SweepConfig.from_dict(_read_json(path) if path else flags))
 
 
 def _cmd_sweep(args) -> int:
-    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    items = data["sweeps"] if isinstance(data, dict) else data
-    status = 0
-    for item in items:
-        status = max(status, _run_sweep(SweepConfig.from_dict(item)))
-    return status
+    data = _read_json(args.config)
+    items = data.get("sweeps") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise SwigertError('a sweep batch must be a JSON list of configs or {"sweeps": [...]}')
+    configs = [SweepConfig.from_dict(item) for item in items]
+    return max((_run_sweep(config) for config in configs), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,12 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
     p_eval.add_argument("--q", type=float, required=True)
     p_eval.add_argument("--tol", type=float, default=1e-12)
-    p_eval.add_argument("--z", type=float, default=None)
-    p_eval.add_argument("--z-re", dest="z_re", type=float, default=None)
-    p_eval.add_argument("--z-im", dest="z_im", type=float, default=None)
-    p_eval.add_argument("--a", type=float, default=None)
-    p_eval.add_argument("--a-re", dest="a_re", type=float, default=None)
-    p_eval.add_argument("--a-im", dest="a_im", type=float, default=None)
+    p_eval.add_argument("--z", "--z-re", dest="z_re", type=float, default=0.0)
+    p_eval.add_argument("--z-im", dest="z_im", type=float, default=0.0)
+    p_eval.add_argument("--a", "--a-re", dest="a_re", type=float, default=0.0)
+    p_eval.add_argument("--a-im", dest="a_im", type=float, default=0.0)
     p_eval.add_argument("--n", type=str, default=None, help="order for qpoch: integer or 'inf'")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -252,26 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--out", default=None)
     p_wit.set_defaults(func=_cmd_witness)
 
-    p_ver = sub.add_parser("verify", help="run one regime sweep and report")
-    p_ver.add_argument("--config", default=None, help="JSON file mirroring the sweep-config fields")
-    p_ver.add_argument("--case", type=int, default=None)
-    p_ver.add_argument("--q", type=float, default=None)
-    p_ver.add_argument("--z-re", dest="z_re", type=float, default=None)
-    p_ver.add_argument("--z-im", dest="z_im", type=float, default=None)
-    p_ver.add_argument("--tau", default=None)
-    p_ver.add_argument("--theta", default=None)
-    p_ver.add_argument("--lambda", dest="lambda_", default=None)
-    p_ver.add_argument("--lambda1", default=None)
-    p_ver.add_argument("--beta", type=float, default=None)
-    p_ver.add_argument("--beta1", type=float, default=None)
-    p_ver.add_argument("--beta2", type=float, default=None)
-    p_ver.add_argument("--rho", type=float, default=None)
-    p_ver.add_argument("--nmin", type=int, default=1)
-    p_ver.add_argument("--nmax", type=int, default=None)
-    p_ver.add_argument("--nstep", type=int, default=1)
-    p_ver.add_argument("--out", default="report.csv")
-    p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    # No defaults here: a flag that is not given is absent, and from_dict fills it in.
+    p_ver = sub.add_parser("verify", help="run one regime sweep and report", argument_default=argparse.SUPPRESS)
+    p_ver.add_argument("--config", help="JSON file of sweep settings, keyed like the flag dests; flags are then ignored")
+    p_ver.add_argument("--case", dest="case_id", type=int)
+    p_ver.add_argument("--q", type=float)
+    p_ver.add_argument("--z-re", dest="z_re", type=float)
+    p_ver.add_argument("--z-im", dest="z_im", type=float)
+    p_ver.add_argument("--tau")
+    p_ver.add_argument("--theta")
+    p_ver.add_argument("--lambda")
+    p_ver.add_argument("--lambda1")
+    p_ver.add_argument("--beta", type=float)
+    p_ver.add_argument("--beta1", type=float)
+    p_ver.add_argument("--beta2", type=float)
+    p_ver.add_argument("--rho", type=float)
+    p_ver.add_argument("--nmin", dest="n_min", type=int)
+    p_ver.add_argument("--nmax", dest="n_max", type=int)
+    p_ver.add_argument("--nstep", dest="n_step", type=int)
+    p_ver.add_argument("--out")
+    p_ver.add_argument("--format")
+    p_ver.add_argument("--jobs", type=int)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a batch of verify configs")
@@ -310,10 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signed_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except SwigertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (SwigertError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,15 +66,25 @@ def exact_residual(n: int, theta: float, beta: float, m: int) -> float:
     return float(Fraction(theta) * n - Fraction(beta) - m)
 
 
+def _nearest(n: int, theta: float, beta: float) -> tuple[int, int, int]:
+    """(m, r, d) with m the integer nearest n*theta - beta and r/d = n*theta - beta - m exactly.
+
+    Integer arithmetic on the doubles' ratios, whose denominators are powers
+    of two; m = floor(n*theta - beta + 1/2), as the exact oracle rounds.
+    """
+    tn, td = float(theta).as_integer_ratio()
+    bn, bd = float(beta).as_integer_ratio()
+    d = max(td, bd)
+    num = n * tn * (d // td) - bn * (d // bd)
+    m = (2 * num + d) // (2 * d)
+    return m, num - m * d, d
+
+
 def _confirm(n: int, theta: float, beta: float, rho: float) -> Optional[tuple[int, float]]:
     """Exact nearest-integer recheck of the witness inequality at n."""
-    exact = Fraction(theta) * n - Fraction(beta)
-    m = math.floor(exact + Fraction(1, 2))
-    residual = exact - m
-    window = Fraction(float(n) ** (-rho))
-    if abs(residual) < window:
-        return m, float(residual)
-    return None
+    m, r, d = _nearest(n, theta, beta)
+    wn, wd = (float(n) ** (-rho)).as_integer_ratio()
+    return (m, r / d) if abs(r) * wd < wn * d else None
 
 
 def _scan_prefilter(theta: float, beta: float, rho: float, n_max: int) -> np.ndarray:

@@ -116,6 +116,12 @@ class TestNuN:
     def test_strip_rational_depth(self):
         assert nu_n(4, Scaling.make("-1/2", "1/4"), 80, 0.5) == 5
 
+    def test_strip_rational_depth_matches_fraction_formula(self):
+        for tau in ("-1/2", "-1/3", "-2/3", "-1/4", "-3/4", "-3/2", "-4/3", "-5/4", "-5/3"):
+            sc, t = Scaling.make(tau, "1/4"), Fraction(tau)
+            for n in range(1, 2 * 10**4 + 1):
+                assert nu_n(4, sc, n, 0.5) == min(math.floor((2 + t) * n / 8), math.floor(-t * n / 8))
+
     def test_log_depth(self):
         sc = Scaling.make("-1/2", SQRT2M1)
         assert nu_n(5, sc, 100, 0.5) == 0

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from swigert.cli import main
+from swigert.diophantine import exact_residual
+from swigert.scaling import RealParam
 
 
 def run(capsys, *argv):
@@ -51,6 +53,14 @@ class TestEval:
         separate = run(capsys, "eval", "Aq", "--z", "-1e-3", "--q", "0.5")
         assert joined[0] == separate[0] == 0
         assert separate[1] == joined[1]
+
+    def test_z_re_is_a_spelling_of_z(self, capsys):
+        for function in ("Aq", "theta_product"):
+            short = run(capsys, "eval", function, "--z", "0.3", "--q", "0.5")
+            long = run(capsys, "eval", function, "--z-re", "0.3", "--q", "0.5")
+            assert short[0] == long[0] == 0 and short[1] == long[1]
+        assert run(capsys, "eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--n", "3")[1] == \
+            run(capsys, "eval", "qpoch", "--a", "0.5", "--q", "0.5", "--n", "3")[1]
 
 
 class TestWitnessCmd:
@@ -196,12 +206,6 @@ class TestVerifyCmd:
         rows = json.loads(out_path.read_text())
         assert rows and {"n", "abs_err", "bound", "within"} <= set(rows[0])
 
-    def test_explicit_candidates(self, capsys, tmp_path):
-        cfg, out_path = write_config(tmp_path, candidates=[1, 5, 9, 13])
-        code, _, _ = run(capsys, "verify", "--config", str(cfg))
-        assert code == 0
-        assert out_path.read_text().count("\n") == 5  # header + 4 rows
-
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         cfg, out_path = write_config(tmp_path)
         assert run(capsys, "verify", "--config", str(cfg))[0] == 0
@@ -215,6 +219,81 @@ class TestVerifyCmd:
         assert run(capsys, "verify", "--config", str(cfg1))[0] == 0
         assert run(capsys, "verify", "--config", str(cfg2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_config_without_z_is_z_one(self, capsys, tmp_path):
+        cfg = dict(CASE4_CONFIG, n_max=41, out=str(tmp_path / "cfg.csv"))
+        del cfg["z_re"], cfg["z_im"]
+        path = tmp_path / "noz.json"
+        path.write_text(json.dumps(cfg))
+        cfg_run = run(capsys, "verify", "--config", str(path))
+        flags_out = tmp_path / "flags.csv"
+        flags_run = run(
+            capsys, "verify", "--case", "4", "--q", "0.5", "--z-re", "1", "--tau", "-1/2", "--theta", "1/4",
+            "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "41", "--out", str(flags_out),
+        )
+        assert cfg_run[0] == flags_run[0] == 0 and cfg_run[1] == flags_run[1]
+        assert (tmp_path / "cfg.csv").read_bytes() == flags_out.read_bytes()
+
+    def test_flags_without_nmax_run_to_100(self, capsys, tmp_path):
+        cfg, cfg_out = write_config(tmp_path, n_max=100)
+        cfg_run = run(capsys, "verify", "--config", str(cfg))
+        flags_out = tmp_path / "flags.csv"
+        flags_run = run(
+            capsys, "verify", "--case", "4", "--q", "0.5", "--z-re", "1", "--z-im", "0.5", "--tau", "-1/2",
+            "--theta", "1/4", "--lambda", "1/2", "--lambda1", "1/4", "--out", str(flags_out),
+        )
+        assert cfg_run[0] == flags_run[0] == 0 and cfg_run[1] == flags_run[1]
+        assert json.loads(flags_run[1])["n_last"] == 97
+        assert flags_out.read_bytes() == cfg_out.read_bytes()
+
+
+def assert_usage_error(code, err, *names):
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert all(name in err for name in names)
+
+
+class TestSweepSettings:
+    """Every bad sweep setting exits 2, naming the setting, before any sweep runs."""
+
+    @pytest.mark.parametrize("field", ["case_id", "q", "tau", "theta"])
+    def test_missing_required_field(self, capsys, tmp_path, field):
+        cfg = {k: v for k, v in CASE4_CONFIG.items() if k != field}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, out=str(tmp_path / "rows.csv"))))
+        assert_usage_error(*run(capsys, "verify", "--config", str(path))[::2], field)
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_flags_missing_required_fields(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--q", "0.5", "--out", str(tmp_path / "rows.csv"))
+        assert_usage_error(code, err, "case_id", "tau", "theta")
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_max", "20"), ("n_min", 1.0), ("jobs", True), ("q", "0.5"), ("z_re", None), ("tau", [1]),
+        ("format", "xml"), ("jobs", 0), ("candidates", [1, 5, 9, 13]),
+    ])
+    def test_bad_field(self, capsys, tmp_path, field, value):
+        cfg, out_path = write_config(tmp_path, **{field: value})
+        assert_usage_error(*run(capsys, "verify", "--config", str(cfg))[::2], field)
+        assert not out_path.exists()
+
+    def test_bad_flag_values(self, capsys, tmp_path):
+        base = ["verify", "--case", "4", "--q", "0.5", "--tau", "-1/2", "--theta", "1/4",
+                "--lambda", "1/2", "--lambda1", "1/4", "--out", str(tmp_path / "rows.csv")]
+        assert_usage_error(*run(capsys, *base, "--format", "xml")[::2], "format")
+        assert_usage_error(*run(capsys, *base, "--jobs", "0")[::2], "jobs")
+
+    def test_non_object_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([CASE4_CONFIG]))
+        assert_usage_error(*run(capsys, "verify", "--config", str(path))[::2], "JSON object")
+
+    def test_batch_with_non_object_item_runs_nothing(self, capsys, tmp_path):
+        good = dict(CASE4_CONFIG, n_max=41, out=str(tmp_path / "a.csv"))
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"sweeps": [good, " a"]}))
+        code, out, err = run(capsys, "sweep", "--config", str(batch))
+        assert_usage_error(code, err, "JSON object")
+        assert out == "" and not (tmp_path / "a.csv").exists()
 
 
 # One small sweep per regime; z defaults to 1 + 0.5i.
@@ -256,6 +335,25 @@ def test_verify_each_case_in_both_formats(capsys, tmp_path, case):
     for r in json_rows:
         assert (r["witness_m"] is not None, r["witness_residual"] is not None) == (witnessed, witnessed)
     assert codes["csv"] == codes["json"] == (0 if json_rows[-1]["within"] else 1)
+
+
+# Axis (theta or -tau) and target of the first witness condition of each witness regime.
+WITNESS_AXIS = {3: ("theta", "beta"), 5: ("theta", "beta"), 6: ("-tau", "beta"), 7: ("-tau", "beta1")}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_AXIS))
+def test_witness_rows_carry_exact_residuals(capsys, tmp_path, case):
+    cfg = {"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, **SEVEN_CASES[case],
+           "format": "json", "out": str(tmp_path / "rows.json")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(capsys, "verify", "--config", str(path))[0] in (0, 1)
+    axis, target = WITNESS_AXIS[case]
+    step = RealParam.parse(cfg["theta"]).value if axis == "theta" else -RealParam.parse(cfg["tau"]).value
+    rows = json.loads((tmp_path / "rows.json").read_text())
+    assert rows
+    for r in rows:
+        assert r["witness_residual"] == exact_residual(r["n"], step, cfg[target], r["witness_m"])
 
 
 class TestSweepCmd:

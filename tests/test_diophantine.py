@@ -157,6 +157,22 @@ class TestWitnessSearch:
     def test_ladder_equals_reference_scan(self, theta, rho, n_max):
         assert [w.n for w in witness_search(theta, 0.0, rho, n_max)] == reference_scan(theta, 0.0, rho, n_max)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=10**6),
+        k=st.integers(min_value=-4 * 10**6, max_value=4 * 10**6),
+        beta=st.floats(min_value=-1.0, max_value=1.0),
+        rho=st.floats(min_value=0.1, max_value=3.0),
+        t=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_confirm_equals_fraction_reference(self, n, k, beta, rho, t):
+        # theta lands within a few windows of a hit, so both outcomes occur
+        theta = (k + beta + t * float(n) ** (-rho)) / n
+        exact = Fraction(theta) * n - Fraction(beta)
+        m = math.floor(exact + Fraction(1, 2))
+        hit = abs(exact - m) < Fraction(float(n) ** (-rho))
+        assert _confirm(n, theta, beta, rho) == ((m, float(exact - m)) if hit else None)
+
     def test_no_witness_dropped_near_a_rational(self):
         # n*theta rounds by more than a 1e-12 padding here: without its rounding
         # slack the scan misses the multiples of 113 from n = 132 323 on
