@@ -44,7 +44,7 @@ from .diophantine import (
 from .errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScaling
 from .qcore import QParam, qpoch_infinite, qq_infinity
 from .qspecial import Bq, ramanujan_Aq, theta_series
-from .scaling import Scaling
+from .scaling import RealParam, Scaling
 from .swpoly import sw_normalized, sw_theta_normalized
 
 _CONST_TOL = 1e-13
@@ -86,25 +86,27 @@ def _regime(case_id: int) -> _Regime:
     return _REGIMES[case_id]
 
 
-def _axis(scaling: Scaling, axis: str) -> tuple[Optional[Fraction], float]:
-    """(exact fraction or None, double) of the orbit step theta or -tau."""
-    param, sign = (scaling.theta, 1) if axis == "theta" else (scaling.tau, -1)
-    return (None if param.fraction is None else sign * param.fraction), sign * param.value
+def _axis(scaling: Scaling, axis: str) -> Fraction:
+    """Exact value of the orbit step theta or -tau."""
+    return scaling.theta.exact if axis == "theta" else -scaling.tau.exact
 
 
 def _pins(reg: _Regime, params: CaseParams) -> list:
-    """(exact step, target) of each lattice pin of the regime."""
-    return [(_axis(params.scaling, axis)[0], getattr(params, name)) for axis, name in reg.pins]
+    """(exact step, exact target) of each lattice pin of the regime."""
+    return [(_axis(params.scaling, axis), getattr(params, name)) for axis, name in reg.pins]
 
 
 @dataclass(frozen=True)
 class CaseParams:
-    """Regime id, scaling, and the fractional targets the regime requires."""
+    """Regime id, scaling, and the fractional targets the regime requires.
+
+    The pin targets lambda_ and lambda1 are read like tau and theta and held as exact Fractions.
+    """
 
     case_id: int
     scaling: Scaling
-    lambda_: Optional[object] = None   # Fraction or float in [0, 1)
-    lambda1: Optional[object] = None
+    lambda_: Optional[Fraction] = None   # exact rational in [0, 1)
+    lambda1: Optional[Fraction] = None
     beta: Optional[float] = None
     beta1: Optional[float] = None
     beta2: Optional[float] = None
@@ -114,6 +116,12 @@ class CaseParams:
         for name in _regime(self.case_id).required:
             if getattr(self, name) is None:
                 raise MissingParam(f"case {self.case_id} requires parameter {name.rstrip('_')}")
+        for name in ("lambda_", "lambda1"):
+            if getattr(self, name) is not None:
+                target = RealParam.parse(getattr(self, name))
+                if not target.is_rational:
+                    raise MissingParam(f"{name.rstrip('_')} must be rational, got {target.describe()}")
+                object.__setattr__(self, name, target.fraction)
         for name in _PARAM_NAMES[:-1]:
             v = getattr(self, name)
             if v is not None and not (0 <= float(v) < 1):
@@ -269,12 +277,6 @@ def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     return 54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n ** params.rho)
 
 
-def _matches_frac(value: Fraction, target) -> bool:
-    if isinstance(target, Fraction):
-        return value == target
-    return abs(float(value) - float(target)) < 1e-12
-
-
 def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -> list[int]:
     """Filter a candidate list down to the indices the regime statement covers.
 
@@ -282,7 +284,7 @@ def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -
     witness conditions accept what the searches produced.
     """
     pins = _pins(_regime(case_id), params)
-    out = [int(n) for n in ns if n >= 1 and all(_matches_frac((step * n) % 1, t) for step, t in pins)]
+    out = [int(n) for n in ns if n >= 1 and all((step * n) % 1 == t for step, t in pins)]
     return sorted(set(out))
 
 
@@ -300,7 +302,7 @@ def compute_row(case_id: int, params: CaseParams, z, q, n: int) -> CaseVerificat
     if reg.witnesses:
         axis, name = reg.witnesses[0]
         beta = getattr(params, name)
-        m_w, r, d = _nearest(n, _axis(sc, axis)[1], beta)
+        m_w, r, d = _nearest(n, float(_axis(sc, axis)), beta)
         witness = DiophantineWitness(n=n, m=m_w, residual=r / d, beta=beta, rho=params.rho)
         if axis == "-tau":
             m_arg = m_w
@@ -372,9 +374,11 @@ def candidates_for_case(
     """
     if n_min < 1 or n_max < n_min:
         raise EmptyCandidates(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+    if n_step < 1:
+        raise OutOfRange(f"n_step must be >= 1, got {n_step}")
     reg = _regime(case_id)
     if reg.witnesses:
-        steps = [_axis(params.scaling, axis)[1] for axis, _ in reg.witnesses]
+        steps = [float(_axis(params.scaling, axis)) for axis, _ in reg.witnesses]
         betas = [getattr(params, name) for _, name in reg.witnesses]
         if len(steps) == 1:
             wits = witness_search(steps[0], betas[0], params.rho, n_max)
@@ -389,9 +393,7 @@ def candidates_for_case(
         ns = [n for n in range(residue if residue >= 1 else mod, n_max + 1, mod) if n >= n_min]
     else:
         ns = list(range(n_min, n_max + 1))
-    if n_step > 1:
-        ns = ns[::n_step]
-    return ns
+    return ns[::n_step]
 
 
 def summarize_rows(rows: Sequence[CaseVerificationRow]) -> VerificationSummary:

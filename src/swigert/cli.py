@@ -27,10 +27,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
@@ -41,16 +41,6 @@ from .qcore import CertifiedValue, qpoch_finite, qpoch_infinite
 from .qspecial import Bq, ramanujan_Aq, theta_product, theta_series
 from .report import rows_to_csv, rows_to_json, summary_to_json, witnesses_to_csv
 from .scaling import RealParam, Scaling
-
-
-def _parse_target(text) -> Optional[object]:
-    """Fractional target from config/CLI: Fraction when exact, float otherwise."""
-    if text is None or isinstance(text, float):
-        return text
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return RealParam.parse(text).value
 
 
 def _accepted_types(hint) -> tuple:
@@ -100,6 +90,8 @@ class SweepConfig:
             if isinstance(value, bool) or not isinstance(value, types):
                 expected = " or ".join(t.__name__ for t in types if t is not type(None))
                 raise SwigertError(f"config field {key} must be {expected}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SwigertError(f"config field {key} must be finite, got {value!r}")
             values[names[key].name] = float(value) if float in types and isinstance(value, int) else value
         config = cls(**values)
         if config.format not in ("csv", "json"):
@@ -112,8 +104,8 @@ class SweepConfig:
         return CaseParams(
             case_id=self.case_id,
             scaling=Scaling.make(self.tau, self.theta),
-            lambda_=_parse_target(self.lambda_),
-            lambda1=_parse_target(self.lambda1),
+            lambda_=self.lambda_,
+            lambda1=self.lambda1,
             beta=self.beta, beta1=self.beta1, beta2=self.beta2, rho=self.rho,
         )
 

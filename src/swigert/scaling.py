@@ -5,9 +5,10 @@ induces is s = tau + 2 + 2*pi*theta*i / log(q).  Each of tau and theta
 carries an arithmetic tag: exact rational (kept as a Fraction) or
 irrational (a machine double plus a textual provenance such as
 ``"sqrt2-1"``).  The tags, never floating comparisons, decide regime
-classification and drive exact fractional-part splits; the behavior of
-{n*tau} and {n*theta} at rational/irrational boundaries is the whole point
-of the asymptotic regimes, so it must not be corrupted by roundoff.
+classification; fractional-part splits work in integers on the exact value,
+for an irrational the represented double.  The behavior of {n*tau} and
+{n*theta} at rational/irrational boundaries is the whole point of the
+asymptotic regimes, so it must not be corrupted by roundoff.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import OutOfRange
-
-# Fractional parts this close to an integer are snapped to it on the
-# floating-point fallback path (exact-rational splits never need snapping).
-_SNAP = 1e-12
 
 _TOKENS = {
     "sqrt2": math.sqrt(2.0),
@@ -50,6 +47,11 @@ class RealParam:
     @property
     def is_rational(self) -> bool:
         return self.fraction is not None
+
+    @property
+    def exact(self) -> Fraction:
+        """The exact value: the fraction of a rational, the represented double of an irrational."""
+        return Fraction(self.value) if self.fraction is None else self.fraction
 
     @classmethod
     def rational(cls, numerator, denominator=1) -> "RealParam":
@@ -97,17 +99,6 @@ class RealParam:
         return self.provenance or repr(self.value)
 
 
-def _snap_split(y: float) -> tuple[int, float]:
-    """Floor/fraction split of a float with the snap-to-integer guard."""
-    m = math.floor(y)
-    c = y - m
-    if c >= 1.0 - _SNAP:
-        return m + 1, 0.0
-    if c < _SNAP:
-        return m, 0.0
-    return m, c
-
-
 @dataclass(frozen=True)
 class Scaling:
     """The pair (tau, theta) defining the complex scaling exponent."""
@@ -120,23 +111,12 @@ class Scaling:
         return cls(RealParam.parse(tau), RealParam.parse(theta))
 
     def minus_tau_split(self, n: int) -> tuple[int, float]:
-        """(-tau * n) split as (m, c) with m = floor and c in [0, 1).
-
-        Exact integer arithmetic on the rational path; snap-guarded floats
-        otherwise.
-        """
-        if self.tau.is_rational:
-            mt = -self.tau.fraction * n
-            m = mt.numerator // mt.denominator
-            return m, float(mt - m)
-        return _snap_split(-self.tau.value * n)
+        """(-tau * n) split as (m, c) with m = floor and c in [0, 1), exact for both tags."""
+        p, r = self.tau.exact.as_integer_ratio()
+        m, rem = divmod(-p * n, r)
+        return m, rem / r
 
     def theta_frac(self, n: int) -> float:
-        """{n * theta} in [0, 1), exact on the rational path."""
-        if self.theta.is_rational:
-            d = (self.theta.fraction * n) % 1
-            return float(d)
-        # Reduce theta mod 1 first so integer shifts of theta cancel exactly
-        # up to one ulp of the input.
-        base = self.theta.value - math.floor(self.theta.value)
-        return _snap_split(n * base)[1]
+        """{n * theta} in [0, 1), exact for both tags."""
+        p, r = self.theta.exact.as_integer_ratio()
+        return p * n % r / r

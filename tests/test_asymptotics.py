@@ -16,7 +16,7 @@ from swigert.asymptotics import (
     summarize_rows,
     verify,
 )
-from swigert.errors import EmptyCandidates, MissingParam, UnsupportedScaling
+from swigert.errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScaling
 from swigert.qcore import qq_infinity
 from swigert.qspecial import Bq, ramanujan_Aq, theta_series
 from swigert.scaling import RealParam, Scaling
@@ -110,6 +110,12 @@ class TestCaseParams:
     def test_targets_must_be_fractional(self):
         with pytest.raises(MissingParam):
             CaseParams(3, Scaling.make("0", SQRT2M1), beta=1.5, rho=0.9)
+
+    def test_pin_targets_are_exact_rationals(self):
+        for value in (0.3, "0.3", "3/10", Fraction(3, 10), RealParam.parse("0.3")):
+            assert CaseParams(2, Scaling.make("0", "1/10"), lambda_=value).lambda_ == Fraction(3, 10)
+        with pytest.raises(MissingParam, match="lambda1 must be rational"):
+            CaseParams(4, Scaling.make("-1/2", "1/4"), lambda_=Fraction(1, 2), lambda1=SQRT2M1)
 
 
 class TestNuN:
@@ -305,6 +311,17 @@ class TestCandidates:
         filtered = admissible_candidates(5, p, ns)
         assert filtered
         assert all(n % 2 == 1 for n in filtered)
+
+    def test_float_lambda_paths_agree(self):
+        p = CaseParams(2, Scaling.make("0", "1/10"), lambda_=0.3)
+        ns = candidates_for_case(2, p, 1, 60)
+        assert ns == [3, 13, 23, 33, 43, 53]
+        assert verify(2, p, 1.0 + 0.5j, 0.5, range(1, 61)) == verify(2, p, 1.0 + 0.5j, 0.5, ns)
+
+    def test_n_step_below_one_rejected(self):
+        for n_step in (0, -3):
+            with pytest.raises(OutOfRange, match="n_step"):
+                candidates_for_case(1, params_case1(), 1, 10, n_step)
 
     def test_case7_paired(self):
         p = CaseParams(7, Scaling.make("-sqrt2+1", SQRT3M1), beta1=0.0, beta2=0.0, rho=0.3)

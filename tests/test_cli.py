@@ -1,11 +1,16 @@
+import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from swigert.cli import main
+from swigert.asymptotics import candidates_for_case
+from swigert.cli import SweepConfig, main
 from swigert.diophantine import exact_residual
 from swigert.scaling import RealParam
+from swigert.swpoly import sw_theta_normalized
 
 
 def run(capsys, *argv):
@@ -295,6 +300,43 @@ class TestSweepSettings:
         assert_usage_error(code, err, "JSON object")
         assert out == "" and not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["z_re", "z_im", "rho", "q"])
+    def test_non_finite_number(self, capsys, tmp_path, field, value):
+        cfg, out_path = write_config(tmp_path, **{field: value})   # json writes Infinity / NaN
+        assert_usage_error(*run(capsys, "verify", "--config", str(cfg))[::2], field)
+        flags = ["verify", "--case", "4", "--q", "0.5", "--tau", "-1/2", "--theta", "1/4",
+                 "--lambda", "1/2", "--lambda1", "1/4", "--out", str(out_path)]
+        assert_usage_error(*run(capsys, *flags, "--" + field.replace("_", "-"), repr(value))[::2], field)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("n_step", ["0", "-3"])
+    def test_n_step_below_one(self, capsys, tmp_path, n_step):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "verify", "--case", "1", "--q", "0.5", "--tau", "1/2", "--theta", "3/10",
+                             "--nmax", "10", "--nstep", n_step, "--out", str(out_path))
+        assert_usage_error(code, err, "n_step")
+        assert out == "" and not out_path.exists()
+
+    def test_irrational_lambda(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--case", "2", "--q", "0.5", "--tau", "0", "--theta", "1/10",
+                           "--lambda", "sqrt2-1", "--out", str(tmp_path / "rows.csv"))
+        assert_usage_error(code, err, "lambda")
+
+
+def test_numeric_lambda_reads_like_the_flag(capsys, tmp_path):
+    """A bare-number lambda in a config is its shortest decimal, as on the command line."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"case_id": 2, "q": 0.5, "tau": "0", "theta": "1/10", "lambda": 0.3,
+                                "out": str(tmp_path / "cfg.csv")}))
+    cfg_run = run(capsys, "verify", "--config", str(path))
+    flags_run = run(capsys, "verify", "--case", "2", "--q", "0.5", "--tau", "0", "--theta", "1/10",
+                    "--lambda", "0.3", "--out", str(tmp_path / "flags.csv"))
+    assert cfg_run == flags_run and cfg_run[0] == 0
+    assert json.loads(cfg_run[1])["params"]["lambda"] == "3/10"
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    assert (tmp_path / "cfg.summary.json").read_bytes() == (tmp_path / "flags.summary.json").read_bytes()
+
 
 # One small sweep per regime; z defaults to 1 + 0.5i.
 SEVEN_CASES = {
@@ -354,6 +396,48 @@ def test_witness_rows_carry_exact_residuals(capsys, tmp_path, case):
     assert rows
     for r in rows:
         assert r["witness_residual"] == exact_residual(r["n"], step, cfg[target], r["witness_m"])
+
+
+@pytest.mark.parametrize("case", (3, 5))
+def test_witness_rows_split_theta_exactly(case):
+    config = SweepConfig.from_dict({"case_id": case, "q": 0.5, **SEVEN_CASES[case]})
+    params = config.case_params()
+    sc, z = params.scaling, complex(config.z_re, config.z_im)
+    theta = Fraction(sc.theta.value)
+    ns = candidates_for_case(case, params, config.n_min, config.n_max)
+    assert ns
+    for n in ns:
+        d = sc.theta_frac(n) if case == 3 else sw_theta_normalized(n, z, sc, config.q).d_n
+        assert d == float((theta * n) % 1)
+
+
+# sha256 of the CSV report, the JSON report and the summary of the rational-regime
+# sweeps of SEVEN_CASES; any change to their bytes shows here.
+REPORT_SHA256 = {
+    1: ("c0ef2930d77267830d3ae150edf9386165578fbc7a9e64246abb74fe1109d064",
+        "b708e36338948853e6c45bbb7fb5a39d1899d8f065e33cf2c5294604af3cdd40",
+        "fb44b146ada73a800dab229c00ee51e111af7d83332fcec10ed99a985efa89bb"),
+    2: ("e93dab79572fad591e8bede9a235a6eb8ae7d2af61805c2ba1a5e94d5678fe46",
+        "5bcc6048686b8f8fe55db0c56741800d1ce00508cf694f1cd5ed391848166c8b",
+        "9fdaeff8faff80d94486ca3769cf7c0a4b8387c6678d1afe34bc6a7a275a4a69"),
+    4: ("2ff3c5cad69273ecdc715e1651313f9a0aa2925a99613d5e51e5a986d4b5f3b1",
+        "688fe9437d6606c1d3a03e2b4171e5741c42a242df78f5f0b4d14703191d08ed",
+        "0e8cce8883f7c5d048f6d045233e33bef9d4caa8f29f5f584a644408c397f22d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+def test_rational_report_bytes(capsys, tmp_path, case):
+    base = {"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, "n_min": 1, **SEVEN_CASES[case]}
+    digests = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(json.dumps(dict(base, format=fmt, out=str(out))))
+        assert run(capsys, "verify", "--config", str(path))[0] == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    digests.append(hashlib.sha256((tmp_path / "rows.summary.json").read_bytes()).hexdigest())
+    assert tuple(digests) == REPORT_SHA256[case]
 
 
 class TestSweepCmd:

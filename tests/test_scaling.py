@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swigert.errors import OutOfRange
 from swigert.scaling import RealParam, Scaling
@@ -66,3 +68,31 @@ class TestScalingSplits:
         b = Scaling.make("-1/2", RealParam.irrational(th + 1.0))
         for n in range(1, 60):
             assert a.theta_frac(n) == pytest.approx(b.theta_frac(n), abs=1e-12)
+
+
+def _exact_split(step: Fraction, n: int) -> tuple[int, float]:
+    """(floor(step * n), float({step * n})) taken in Fractions: the oracle of the orbit splits."""
+    x = step * n
+    return math.floor(x), float(x - math.floor(x))
+
+
+# Tagged values on both paths: rationals, irrational tokens and arbitrary doubles.
+_TAGGED = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6).map(RealParam.rational),
+    st.sampled_from(["sqrt2-1", "sqrt3-1", "phi-1", "e-2", "pi-3", "-sqrt2+1", "-sqrt3", "pi"])
+    .map(RealParam.parse),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(RealParam.irrational),
+)
+
+
+class TestExactSplitProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(tau=_TAGGED, theta=_TAGGED, n=st.integers(min_value=1, max_value=10**9))
+    # A float product n * sqrt2 is off here by 28 % of {n sqrt2}.
+    @example(tau=RealParam.rational(-1, 2), theta=RealParam.parse("sqrt2"), n=225_058_681)
+    def test_splits_equal_the_fraction_formula(self, tau, theta, n):
+        sc = Scaling(tau, theta)
+        tau_exact = tau.fraction if tau.is_rational else Fraction(tau.value)
+        theta_exact = theta.fraction if theta.is_rational else Fraction(theta.value)
+        assert sc.minus_tau_split(n) == _exact_split(-tau_exact, n)
+        assert sc.theta_frac(n) == _exact_split(theta_exact, n)[1]

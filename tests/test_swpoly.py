@@ -230,7 +230,9 @@ class TestPochTailRatios:
 IRRATIONAL_TAU = Scaling.make(RealParam.irrational(-(math.sqrt(2.0) - 1.0)), "1/4")
 
 # repr of value, s1, s2 recorded before the split sum's two wing loops became
-# one; any reordering of the floating-point operations shows here.
+# one; any reordering of the floating-point operations shows here.  The two
+# theta = sqrt2-1 entries were re-recorded when {n theta} of an irrational
+# theta became exact (test_scaling checks that split independently).
 SPLIT_GOLDEN = [
     (1, 2.0, ("-1/2", "1/4"), 0.5, None,
      "(0.16679712772749702-0.058971690049275924j)", "(0.16679712772749702+0j)",
@@ -242,11 +244,11 @@ SPLIT_GOLDEN = [
      "(0.4617689798277715-0.16287927965610433j)", "(0.800733613229807+0.3221364728902486j)",
      "(-0.3389646334020355-0.48501575254635293j)"),
     (40, 0.5 + 1.0j, ("-3/2", "sqrt2-1"), 0.3, None,
-     "(1.4743480784210503+0.04556937142495279j)", "(1.2637190488436627+0.21989541227607154j)",
-     "(0.21062902957738755-0.17432604085111875j)"),
+     "(1.474348078421055+0.04556937142495224j)", "(1.2637190488436654+0.2198954122760686j)",
+     "(0.21062902957738955-0.17432604085111636j)"),
     (40, 0.5 + 1.0j, ("-3/2", "sqrt2-1"), 0.7, None,
-     "(2.0201103661367807+0.26086123144790074j)", "(1.5519252021611838+0.8029369601771911j)",
-     "(0.468185163975597-0.5420757287292903j)"),
+     "(2.0201103661368025+0.2608612314478995j)", "(1.5519252021611973+0.8029369601771843j)",
+     "(0.4681851639756053-0.5420757287292848j)"),
 ]
 
 NORMALIZED_GOLDEN = [
