@@ -31,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .diophantine import (
@@ -45,7 +46,7 @@ from .errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScalin
 from .qcore import QParam, qpoch_infinite, qq_infinity
 from .qspecial import Bq, ramanujan_Aq, theta_series
 from .scaling import RealParam, Scaling
-from .swpoly import sw_normalized, sw_theta_normalized
+from .swpoly import _reversed_sums, _split_sums
 
 _CONST_TOL = 1e-13
 
@@ -283,53 +284,61 @@ def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -
     Lattice pins fix {n theta} and/or {-tau n} to the declared targets;
     witness conditions accept what the searches produced.
     """
-    pins = _pins(_regime(case_id), params)
-    out = [int(n) for n in ns if n >= 1 and all((step * n) % 1 == t for step, t in pins)]
+    pins = [(step.as_integer_ratio(), t) for step, t in _pins(_regime(case_id), params)]
+    out = [int(n) for n in ns if n >= 1 and all(_on_pin(p, r, t, n) for (p, r), t in pins)]
     return sorted(set(out))
 
 
-def compute_row(case_id: int, params: CaseParams, z, q, n: int) -> CaseVerificationRow:
-    """Evaluate one sweep index: exact value, main term, error, bound.
+def _on_pin(p: int, r: int, t: Fraction, n: int) -> bool:
+    """{n * p/r} == t, decided in integers as ``Scaling.minus_tau_split`` splits."""
+    return (p * n % r) * t.denominator == t.numerator * r
 
-    Rows of a witness regime carry the witness along the first witness axis;
-    when that axis is -tau its integer part is the m of the split evaluator.
+
+def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[int]) -> list[CaseVerificationRow]:
+    """Verification rows at the indices ns: exact value, main term, error, bound.
+
+    The normalized values of all rows come from one batch kernel call; a
+    kernel error (BadTau, PeakOverflow) is the one the first failing row
+    raises.  Rows of a witness regime carry the witness along the first
+    witness axis; when that axis is -tau its integer part is the m of the
+    split evaluation.
     """
     reg = _regime(case_id)
-    qv = QParam.of(q).q
     sc = params.scaling
-    zc = complex(z)
-    witness = m_arg = None
+    witnesses = [None] * len(ns)
+    ms = None
     if reg.witnesses:
         axis, name = reg.witnesses[0]
-        beta = getattr(params, name)
-        m_w, r, d = _nearest(n, float(_axis(sc, axis)), beta)
-        witness = DiophantineWitness(n=n, m=m_w, residual=r / d, beta=beta, rho=params.rho)
+        beta, step = getattr(params, name), float(_axis(sc, axis))
+        witnesses = []
+        for n in ns:
+            m_w, r, d = _nearest(n, step, beta)
+            witnesses.append(DiophantineWitness(n=n, m=m_w, residual=r / d, beta=beta, rho=params.rho))
         if axis == "-tau":
-            m_arg = m_w
+            ms = [w.m for w in witnesses]
     if len(reg.targets) == 2:
-        split = sw_theta_normalized(n, zc, sc, qv, m=m_arg)
-        lhs = split.value
-        main = main_term(case_id, params, zc, qv, m=split.m)
+        splits = _split_sums(ns, ms, z, sc, q)
+        lhss = [split.value for split in splits]
+        mains = [main_term(case_id, params, z, q, m=split.m) for split in splits]
     else:
-        lhs = sw_normalized(n, zc, sc, qv) * qq_infinity(qv)
-        main = main_term(case_id, params, zc, qv)
-
-    err = abs(lhs - main)
-    bound = error_bound(case_id, params, n, zc, qv)
-    return CaseVerificationRow(
-        n=n,
-        lhs=complex(lhs),
-        main=complex(main),
-        abs_err=err,
-        bound=bound,
-        within=err <= bound,
-        nu_n=nu_n(case_id, sc, n, qv),
-        witness=witness,
-    )
-
-
-def _row_task(payload) -> CaseVerificationRow:
-    return compute_row(*payload)
+        qq_inf = qq_infinity(q)
+        lhss = [value * qq_inf for value in _reversed_sums(ns, z, sc, q)]
+        mains = [main_term(case_id, params, z, q)] * len(ns)
+    rows = []
+    for n, lhs, main, witness in zip(ns, lhss, mains, witnesses):
+        err = abs(lhs - main)
+        bound = error_bound(case_id, params, n, z, q)
+        rows.append(CaseVerificationRow(
+            n=n,
+            lhs=complex(lhs),
+            main=complex(main),
+            abs_err=err,
+            bound=bound,
+            within=err <= bound,
+            nu_n=nu_n(case_id, sc, n, q),
+            witness=witness,
+        ))
+    return rows
 
 
 def verify(
@@ -342,21 +351,26 @@ def verify(
 ) -> list[CaseVerificationRow]:
     """Verification rows over the admissible subset of the candidates.
 
-    Rows are independent pure computations; ``jobs > 1`` distributes them
-    over a process pool with results reassembled in n-order, so parallel and
-    serial runs produce identical output.
+    All rows are evaluated in one batch.  ``jobs > 1`` splits the indices
+    into ``jobs`` contiguous chunks, evaluates each in a worker process and
+    joins them in n-order; rows are independent, so parallel and serial runs
+    produce identical output.
     """
     if params.case_id != case_id:
         raise MissingParam(f"case_id {case_id} does not match params.case_id {params.case_id}")
+    zc = complex(z)
+    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+        raise OutOfRange(f"z must be finite, got {zc!r}")
     ns = admissible_candidates(case_id, params, list(n_candidates))
     if not ns:
         raise EmptyCandidates(f"no admissible indices for case {case_id}")
     qv = QParam.of(q).q
     if jobs <= 1:
-        return [compute_row(case_id, params, z, qv, n) for n in ns]
-    payloads = [(case_id, params, complex(z), qv, n) for n in ns]
+        return _rows(case_id, params, zc, qv, ns)
+    chunks = [ns[i * len(ns) // jobs:(i + 1) * len(ns) // jobs] for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_row_task, payloads, chunksize=max(1, len(ns) // (4 * jobs))))
+        parts = pool.map(_rows, repeat(case_id), repeat(params), repeat(zc), repeat(qv), [c for c in chunks if c])
+        return [row for part in parts for row in part]
 
 
 def candidates_for_case(

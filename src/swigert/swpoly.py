@@ -13,6 +13,22 @@ complex-log space with principal branches.
 
 The power convention throughout is w**n = exp(n * Log(w)) with the
 principal logarithm, applied once before any scaling.
+
+A sweep does not call the scalar evaluators row by row.  The private batch
+kernels ``_reversed_sums`` and ``_split_sums`` hold a sweep's rows as numpy
+arrays and loop over k once, updating every live row per step; the scalar
+``sw_normalized`` and ``sw_theta_normalized`` are their cross-check oracles.
+The kernels give each row the scalar loop's bits by one rule: a complex
+value is a pair of float64 arrays (real, imaginary), and each complex
+product or quotient is written out with one ufunc per operation in the order
+CPython's ``_Py_c_prod`` and ``_Py_c_quot`` use, a float operand entering as
+complex(x, 0.0) together with its ``* 0.0`` terms; magnitudes use
+``np.hypot``, as ``abs`` does.  complex128 arrays break the rule: on hosts
+with AVX-512 and FMA, numpy's complex product and ``np.abs`` differ from
+CPython's in the last bit for a large share of inputs.  Per-row setup (the
+orbit splits, ``cmath.exp``, ``q**x``, the peak check) stays scalar Python,
+because ``np.exp`` and ``np.power`` do not promise CPython's bits either; it
+is O(rows), the summation O(rows * k).
 """
 
 from __future__ import annotations
@@ -20,6 +36,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
+
+import numpy as np
 
 from .errors import BadTau, DomainTooLarge, PeakOverflow, ZeroArgument
 from .qcore import QParam, _qq_prefix, qpoch_q_n, qq_infinity
@@ -119,19 +139,11 @@ def log_theta_normalizer(n: int, z, scaling: Scaling, q, m: int | None = None) -
     )
 
 
-def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
-    """Reversed sum sum_k q^(k^2) e^(2 pi i k {n theta}) (-q^(tau n)/z)^k / ((q;q)_k (q;q)_{n-k}).
+def _reversed_setup(n: int, zc: complex, scaling: Scaling, qv: float) -> tuple[complex, int]:
+    """(base, k_break) of the reversed sum at index n.
 
-    Equals the degree-n polynomial at the scaled argument divided by
-    (-z)^n q^(n^2 (1-s)).  Terms decay for tau >= 0; for tau < 0 the call is
-    honored only while the interior term peak stays inside double range.
+    Raises PeakOverflow when the interior term peak leaves double range.
     """
-    qv = QParam.of(q).q
-    if z == 0:
-        raise ZeroArgument("normalized evaluation requires z != 0")
-    if n < 1:
-        raise DomainTooLarge(f"n must be >= 1, got {n}")
-    zc = complex(z)
     tau = scaling.tau.value
     lnq = math.log(qv)
 
@@ -143,15 +155,33 @@ def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
     peak = max(log_term(0.0), log_term(float(n)), log_term(min(max(k_star, 0.0), float(n))))
     if peak > _LOG_LIMIT:
         raise PeakOverflow(f"term peak exp({peak:.1f}) at n={n}, tau={tau}; use the theta-centered form")
-
     d = scaling.theta_frac(n)
     base = -(qv ** (tau * n)) / zc * cmath.exp(complex(0.0, 2.0 * math.pi * d))
+    return base, int(math.ceil(max(k_star, 0.0))) + 1
+
+
+def _check_reversed(z, ns) -> None:
+    if z == 0:
+        raise ZeroArgument("normalized evaluation requires z != 0")
+    if min(ns, default=1) < 1:
+        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
+
+
+def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
+    """Reversed sum sum_k q^(k^2) e^(2 pi i k {n theta}) (-q^(tau n)/z)^k / ((q;q)_k (q;q)_{n-k}).
+
+    Equals the degree-n polynomial at the scaled argument divided by
+    (-z)^n q^(n^2 (1-s)).  Terms decay for tau >= 0; for tau < 0 the call is
+    honored only while the interior term peak stays inside double range.
+    """
+    qv = QParam.of(q).q
+    _check_reversed(z, (n,))
+    base, k_break = _reversed_setup(n, complex(z), scaling, qv)
     prefix = _qq_prefix(qv)
     last = len(prefix) - 1
     total = complex(0.0)
     term = complex(1.0)
     qodd = qv
-    k_break = int(math.ceil(max(k_star, 0.0))) + 1
     for k in range(n + 1):
         total += term / (prefix[min(k, last)] * prefix[min(n - k, last)])
         term *= base * qodd
@@ -180,6 +210,45 @@ class SplitSumResult:
     s2: complex
 
 
+def _check_split(z, ns, scaling: Scaling) -> None:
+    tau = scaling.tau.value
+    if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
+        raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")
+    if z == 0:
+        raise ZeroArgument("split evaluation requires z != 0")
+    if min(ns, default=1) < 1:
+        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
+
+
+def _split_setup(n: int, zc: complex, scaling: Scaling, qv: float, m: int | None):
+    """(m, c, d, w1) of the split at index n: -tau*n = m + c, d = {n theta}, w1 the s1 ratio."""
+    m_floor, c_floor = scaling.minus_tau_split(n)
+    if m is None:
+        m, c = m_floor, c_floor
+    else:
+        c = (m_floor - m) + c_floor
+        if not (-1.0 < c < 2.0):
+            raise BadTau(f"offset c = {c!r} too far from [0, 1); wrong m for this n?")
+    d = scaling.theta_frac(n)
+    exponent = (m - 2 * (m // 2)) + c       # in [0, 2) on the floor path
+    w1 = -zc * (qv**exponent) * cmath.exp(complex(0.0, -2.0 * math.pi * d))
+    return m, c, d, w1
+
+
+def _wide(m: int, c: float) -> bool:
+    """Whether the split's term bound needs the wider window q^(k^2 - 3k).
+
+    The documented bound q^(k^2 - 2k) max^k holds while the exponent chi(m) + c
+    stays in [0, 2); witness decompositions may need the slightly wider window.
+    """
+    return not 0.0 <= (m - 2 * (m // 2)) + c <= 2.0
+
+
+def _term_bound(k: int, mag: float, qv: float, guard_pow: float) -> float:
+    """Bound asserted on the k-th split term: max^k q^(k (k - guard_pow)), with slack."""
+    return mag**k * qv ** (k * (k - guard_pow)) * (1.0 + 1e-9) + 1e-280
+
+
 def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumResult:
     """Theta-centered split evaluation, stable for all n when -2 < tau < 0.
 
@@ -195,36 +264,15 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
     falls outside [0, 1).
     """
     qv = QParam.of(q).q
-    tau = scaling.tau.value
-    if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
-        raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")
-    if z == 0:
-        raise ZeroArgument("split evaluation requires z != 0")
-    if n < 1:
-        raise DomainTooLarge(f"n must be >= 1, got {n}")
-
-    m_floor, c_floor = scaling.minus_tau_split(n)
-    if m is None:
-        m, c = m_floor, c_floor
-    else:
-        c = (m_floor - m) + c_floor
-        if not (-1.0 < c < 2.0):
-            raise BadTau(f"offset c = {c!r} too far from [0, 1); wrong m for this n?")
-    d = scaling.theta_frac(n)
-    parity = m - 2 * (m // 2)
-    half = m // 2
-
+    _check_split(z, (n,), scaling)
     zc = complex(z)
+    m, c, d, w1 = _split_setup(n, zc, scaling, qv, m)
+    half = m // 2
     mag = max(abs(zc), 1.0 / abs(zc))
     prefix = _qq_prefix(qv)
     last = len(prefix) - 1
     qq2 = prefix[-1] ** 2
-    exponent = parity + c                   # in [0, 2) on the floor path
-    # Documented term bound q^(k^2 - 2k) max^k holds while the exponent stays
-    # in [0, 2); witness decompositions may need the slightly wider window.
-    guard_pow = 2.0 if 0.0 <= exponent <= 2.0 else 3.0
-    guard_slack = 1.0 + 1e-9
-    guard_floor = 1e-280
+    guard_pow = 3.0 if _wide(m, c) else 2.0
 
     def wing(ks: range, sign: int, w: complex, term: complex, qodd: float) -> complex:
         """Sum over ks of q^(k^2) w^k times the weight at j = m//2 + sign*k.
@@ -237,7 +285,7 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
             ratio = qq2 / (prefix[min(j, last)] * prefix[min(n - j, last)])
             assert 0.0 < ratio <= 1.0
             contrib = term * ratio
-            assert abs(contrib) <= mag**k * qv ** (k * (k - guard_pow)) * guard_slack + guard_floor
+            assert abs(contrib) <= _term_bound(k, mag, qv, guard_pow)
             total += contrib
             term *= w * qodd
             qodd *= qv * qv
@@ -245,8 +293,175 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
                 break
         return total
 
-    w1 = -zc * (qv**exponent) * cmath.exp(complex(0.0, -2.0 * math.pi * d))
     w2 = 1.0 / w1
     s1 = wing(range(half + 1), -1, w1, complex(1.0), qv)
     s2 = wing(range(1, n - half + 1), 1, w2, w2 * qv, qv**3)
-    return SplitSumResult(value=s1 + s2, m=m, c_n=c, d_n=d, chi_m=parity, s1=s1, s2=s2)
+    return SplitSumResult(value=s1 + s2, m=m, c_n=c, d_n=d, chi_m=m - 2 * half, s1=s1, s2=s2)
+
+
+# Batch kernels: a sweep's rows run as one vector pass over k, with the bits of
+# the scalar loops above (see the module docstring for the rule).
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi) as CPython's _Py_c_prod computes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div_real(ar, ai, d):
+    """(ar + i ai) / complex(d, 0.0) as CPython's _Py_c_quot computes it, for d > 0."""
+    return (ar + ai * 0.0) / d, (ai - ar * 0.0) / d
+
+
+def _parts(values) -> tuple:
+    """Real and imaginary parts of complex values as two float64 arrays."""
+    return np.array([v.real for v in values]), np.array([v.imag for v in values])
+
+
+def _may_vanish(prefix) -> bool:
+    """Whether a product of two weights can round to 0; each is >= (q;q)_inf^2 otherwise."""
+    return prefix[-1] * prefix[-1] == 0.0
+
+
+class _Rows:
+    """The live rows of a vector pass: their output positions and per-row arrays.
+
+    Every pass sums into ``s_re``/``s_im``.  ``retire`` stores the sums of
+    the rows that just finished and drops those rows from every array, so
+    later steps touch only rows still summing.
+    """
+
+    def __init__(self, **arrays):
+        self.names = tuple(arrays)
+        vars(self).update(arrays)
+        size = len(self.s_re)
+        self.pos = np.arange(size)
+        self.out_re = np.zeros(size)
+        self.out_im = np.zeros(size)
+
+    def retire(self, done) -> None:
+        """Store the sums of the finished rows and drop those rows."""
+        if done.any():
+            self.out_re[self.pos[done]] = self.s_re[done]
+            self.out_im[self.pos[done]] = self.s_im[done]
+            keep = ~done
+            self.pos = self.pos[keep]
+            for name in self.names:
+                setattr(self, name, getattr(self, name)[keep])
+
+    def join(self, other: "_Rows") -> None:
+        """Append the rows of other; its outputs follow this pass's outputs."""
+        self.pos = np.concatenate([self.pos, other.pos + self.out_re.size])
+        self.out_re = np.concatenate([self.out_re, other.out_re])
+        self.out_im = np.concatenate([self.out_im, other.out_im])
+        for name in self.names:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+    def sums(self) -> list[complex]:
+        return [complex(re, im) for re, im in zip(self.out_re.tolist(), self.out_im.tolist())]
+
+
+def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
+    """``sw_normalized`` at every n of ns, bit for bit, as one vector pass over k."""
+    qv = QParam.of(q).q
+    _check_reversed(z, ns)
+    zc = complex(z)
+    setups = [_reversed_setup(n, zc, scaling, qv) for n in ns]
+    prefix = _qq_prefix(qv)
+    weights = np.array(prefix)
+    last = len(prefix) - 1
+    size = len(ns)
+    b_re, b_im = _parts([base for base, _ in setups])
+    rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array([kb for _, kb in setups], dtype=np.int64),
+                 b_re=b_re, b_im=b_im, bz_re=b_re * 0.0, bz_im=b_im * 0.0,
+                 t_re=np.ones(size), t_im=np.zeros(size), s_re=np.zeros(size), s_im=np.zeros(size))
+    may_vanish = _may_vanish(prefix)
+    qodd = qv
+    k = 0
+    while rows.pos.size:
+        den = prefix[min(k, last)] * weights.take(rows.n - k, mode="clip")
+        if may_vanish and not den.all():
+            raise ZeroDivisionError("complex division by zero")
+        a_re, a_im = _div_real(rows.t_re, rows.t_im, den)
+        rows.s_re, rows.s_im = rows.s_re + a_re, rows.s_im + a_im
+        # base * qodd, its two "* 0.0" products hoisted out of the loop
+        bq_re, bq_im = rows.b_re * qodd - rows.bz_im, rows.bz_re + rows.b_im * qodd
+        rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, bq_re, bq_im)
+        qodd *= qv * qv
+        rows.retire((rows.n <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
+        k += 1
+    return rows.sums()
+
+
+def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling, q) -> list[SplitSumResult]:
+    """``sw_theta_normalized`` at every n of ns (with m = ms[i] when given), bit for bit.
+
+    Both wings of every row run in one vector pass over k: s1 from k = 0,
+    s2 joining at k = 1, so all live rows share k and its term bound.
+    """
+    qv = QParam.of(q).q
+    _check_split(z, ns, scaling)
+    zc = complex(z)
+    setups = [_split_setup(n, zc, scaling, qv, None if ms is None else ms[i]) for i, n in enumerate(ns)]
+    size = len(ns)
+    n = np.array(ns, dtype=np.int64)
+    half = np.array([m // 2 for m, _, _, _ in setups], dtype=np.int64)
+    wide = np.array([_wide(m, c) for m, c, _, _ in setups], dtype=bool)
+    w1 = [w for _, _, _, w in setups]
+    w2 = [1.0 / w for w in w1]
+    s1 = _wing_rows(n, half, half, -1, w1, [complex(1.0)] * size, qv, wide)
+    s2 = _wing_rows(n, half, n - half, 1, w2, [w * qv for w in w2], qv**3, wide)
+    prefix = _qq_prefix(qv)
+    step = partial(_wing_step, weights=np.array(prefix), qq2=prefix[-1] ** 2, mag=max(abs(zc), 1.0 / abs(zc)),
+                   qv=qv, any_wide=bool(wide.any()), may_vanish=_may_vanish(prefix))
+    s1.retire(s1.k_end < 0)               # an empty range sums to 0
+    step(s1, 0)
+    s2.retire(s2.k_end < 1)
+    s1.join(s2)
+    k = 1
+    while s1.pos.size:
+        step(s1, k)
+        k += 1
+    sums = s1.sums()
+    return [
+        SplitSumResult(value=a + b, m=m, c_n=c, d_n=d, chi_m=m - 2 * (m // 2), s1=a, s2=b)
+        for (m, c, d, _), a, b in zip(setups, sums[:size], sums[size:])
+    ]
+
+
+def _wing_rows(n, half, k_end, sign: int, w, term, qodd: float, wide) -> _Rows:
+    """One wing's rows: j = m//2 + sign*k up to k_end, ratio w, and term and q^(2k+1) at the first k."""
+    size = len(w)
+    w_re, w_im = _parts(w)
+    t_re, t_im = _parts(term)
+    return _Rows(n=n, half=half, k_end=k_end, sign=np.full(size, sign), wide=wide,
+                 w_re=w_re, w_im=w_im, wz_re=w_re * 0.0, wz_im=w_im * 0.0, qodd=np.full(size, qodd),
+                 t_re=t_re, t_im=t_im, s_re=np.zeros(size), s_im=np.zeros(size))
+
+
+def _wing_step(rows: _Rows, k: int, weights, qq2: float, mag: float, qv: float, any_wide: bool,
+               may_vanish: bool) -> None:
+    """Step k of ``sw_theta_normalized``'s wing loop on every live row."""
+    if not rows.pos.size:
+        return
+    j = rows.half + rows.sign * k
+    den = weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip")
+    if may_vanish and not den.all():
+        raise ZeroDivisionError("float division by zero")
+    ratio = qq2 / den
+    assert 0.0 < ratio.min() and ratio.max() <= 1.0
+    c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
+    if any_wide:
+        assert (np.hypot(c_re, c_im) <= np.where(
+            rows.wide, _term_bound(k, mag, qv, 3.0), _term_bound(k, mag, qv, 2.0))).all()
+    else:
+        assert np.hypot(c_re, c_im).max() <= _term_bound(k, mag, qv, 2.0)
+    rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
+    # w * qodd, its two "* 0.0" products hoisted out of the loop
+    wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd
+    rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, wq_re, wq_im)
+    rows.qodd = rows.qodd * (qv * qv)
+    done = rows.k_end <= k
+    if k > 2:
+        done |= np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW
+    rows.retire(done)

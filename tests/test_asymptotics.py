@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swigert.asymptotics import (
     CaseParams,
@@ -232,6 +234,14 @@ class TestVerifyMechanics:
         with pytest.raises(MissingParam):
             verify(2, params_case1(), 1.0, 0.5, [5])
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_z_rejected(self, part, value):
+        z = complex(value, 0.5) if part == "real" else complex(1.0, value)
+        for case, p in ((1, params_case1()), (4, params_case4())):
+            with pytest.raises(OutOfRange, match="z must be finite"):
+                verify(case, p, z, 0.5, range(1, 11))
+
     def test_admissible_filter_case2(self):
         p = CaseParams(2, Scaling.make("0", "1/3"), lambda_=Fraction(1, 3))
         assert admissible_candidates(2, p, range(1, 13)) == [1, 4, 7, 10]
@@ -289,7 +299,22 @@ class TestVerifyMechanics:
             )
 
 
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
 class TestCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(tau=SMALL_FRACTIONS.filter(lambda f: -2 < f < 0), theta=SMALL_FRACTIONS,
+           lam=SMALL_FRACTIONS.map(lambda f: f % 1), lam1=SMALL_FRACTIONS.map(lambda f: f % 1))
+    def test_pin_filter_equals_fraction_definition(self, tau, theta, lam, lam1):
+        ns = range(1, 300)
+        p2 = CaseParams(2, Scaling.make("0", str(theta)), lambda_=lam)
+        assert admissible_candidates(2, p2, ns) == [n for n in ns if (theta * n) % 1 == lam]
+        p4 = CaseParams(4, Scaling.make(str(tau), str(theta)), lambda_=lam, lambda1=lam1)
+        assert admissible_candidates(4, p4, ns) == [
+            n for n in ns if (-tau * n) % 1 == lam and (theta * n) % 1 == lam1
+        ]
+
     def test_case1_plain_range(self):
         assert candidates_for_case(1, params_case1(), 5, 9) == [5, 6, 7, 8, 9]
 

@@ -411,8 +411,8 @@ def test_witness_rows_split_theta_exactly(case):
         assert d == float((theta * n) % 1)
 
 
-# sha256 of the CSV report, the JSON report and the summary of the rational-regime
-# sweeps of SEVEN_CASES; any change to their bytes shows here.
+# sha256 of the CSV report, the JSON report and the summary of each sweep of
+# SEVEN_CASES, recorded with jobs=1; any change to their bytes shows here.
 REPORT_SHA256 = {
     1: ("c0ef2930d77267830d3ae150edf9386165578fbc7a9e64246abb74fe1109d064",
         "b708e36338948853e6c45bbb7fb5a39d1899d8f065e33cf2c5294604af3cdd40",
@@ -420,15 +420,27 @@ REPORT_SHA256 = {
     2: ("e93dab79572fad591e8bede9a235a6eb8ae7d2af61805c2ba1a5e94d5678fe46",
         "5bcc6048686b8f8fe55db0c56741800d1ce00508cf694f1cd5ed391848166c8b",
         "9fdaeff8faff80d94486ca3769cf7c0a4b8387c6678d1afe34bc6a7a275a4a69"),
+    3: ("8aa49f008aa37b6c46c5bff1f87efe292f1780ed18194294227b1f7847ff9231",
+        "7ad0238d6a02a376eceb18134521278a970f3f9e480dc358c6e70180bba879f6",
+        "d8c0fd9b158b5743ab0476d504f6a4282d907f6dee57c83e2848090f29e4f2ca"),
     4: ("2ff3c5cad69273ecdc715e1651313f9a0aa2925a99613d5e51e5a986d4b5f3b1",
         "688fe9437d6606c1d3a03e2b4171e5741c42a242df78f5f0b4d14703191d08ed",
         "0e8cce8883f7c5d048f6d045233e33bef9d4caa8f29f5f584a644408c397f22d"),
+    5: ("5e8ecc64cfcf502cc9a9fc09515039548c2328ad1b1508456b96fb3584acec02",
+        "0462f1764e087b424af85b6acf526b2f7ed074e503d189bf86594505195c28d9",
+        "2e18ff95b2622d61e44181506e71d7e97eaea5f11baaad7424e04114f0b72c29"),
+    6: ("3973f59bdb3549b2ed811bec708580c9b950516c87902eab6fe7b6315473d3b1",
+        "675d46df4e2882b063cc4b449339bce4ea0a8243d82422cb507ed98d16cd558b",
+        "b4326936b9d57a6aaae0c39abb32ff707194337634382ae7d46d9a0a006698a1"),
+    7: ("1f277dcecc8740b47907c3dfa416a7beffee9b21fe8cf6b6c386c21315b3868f",
+        "465c226ff4760c191f2429e494c87e35441969c3f13aef2e30a49aac5828eb2c",
+        "612e413ddb541521eba920b2e9da99d0539c4e2f731657c01f884c014ffdae20"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REPORT_SHA256))
-def test_rational_report_bytes(capsys, tmp_path, case):
-    base = {"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, "n_min": 1, **SEVEN_CASES[case]}
+def report_digests(capsys, tmp_path, case, **settings) -> tuple:
+    """sha256 of the CSV report, the JSON report and the summary of SEVEN_CASES[case]."""
+    base = {"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, "n_min": 1, **SEVEN_CASES[case], **settings}
     digests = []
     for fmt in ("csv", "json"):
         out = tmp_path / f"rows.{fmt}"
@@ -437,7 +449,22 @@ def test_rational_report_bytes(capsys, tmp_path, case):
         assert run(capsys, "verify", "--config", str(path))[0] == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     digests.append(hashlib.sha256((tmp_path / "rows.summary.json").read_bytes()).hexdigest())
-    assert tuple(digests) == REPORT_SHA256[case]
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("case", (1, 2, 4))
+def test_rational_report_bytes(capsys, tmp_path, case):
+    assert report_digests(capsys, tmp_path, case) == REPORT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", (3, 5, 6, 7))
+def test_witness_report_bytes(capsys, tmp_path, case):
+    assert report_digests(capsys, tmp_path, case) == REPORT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", (4, 6))
+def test_report_bytes_with_two_jobs(capsys, tmp_path, case):
+    assert report_digests(capsys, tmp_path, case, jobs=2) == REPORT_SHA256[case]
 
 
 class TestSweepCmd:

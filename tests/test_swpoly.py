@@ -4,16 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swigert.errors import (
     BadTau,
     DomainTooLarge,
     PeakOverflow,
+    SwigertError,
     ZeroArgument,
 )
 from swigert.qcore import qpoch_infinite, qpoch_q_n, qq_infinity
 from swigert.scaling import RealParam, Scaling
 from swigert.swpoly import (
+    _mul,
+    _reversed_sums,
+    _split_sums,
     log_normalizer,
     log_theta_normalizer,
     scaled_argument,
@@ -275,6 +281,131 @@ class TestGoldenBits:
     @pytest.mark.parametrize("n, z, spec, q, value", NORMALIZED_GOLDEN)
     def test_reversed_sum_bits(self, n, z, spec, q, value):
         assert repr(sw_normalized(n, z, golden_scaling(spec), q)) == value
+
+    @pytest.mark.parametrize("n, z, spec, q, m_shift, value, s1, s2", SPLIT_GOLDEN)
+    def test_split_kernel_bits(self, n, z, spec, q, m_shift, value, s1, s2):
+        sc = golden_scaling(spec)
+        ms = None if m_shift is None else [sc.minus_tau_split(n)[0] + m_shift]
+        (res,) = _split_sums([n], ms, z, sc, q)
+        assert (repr(res.value), repr(res.s1), repr(res.s2)) == (value, s1, s2)
+
+    @pytest.mark.parametrize("n, z, spec, q, value", NORMALIZED_GOLDEN)
+    def test_reversed_kernel_bits(self, n, z, spec, q, value):
+        assert [repr(v) for v in _reversed_sums([n], z, golden_scaling(spec), q)] == [value]
+
+
+# The batch kernels must reproduce the scalar evaluators bit for bit, and raise
+# what the scalar rows raise: the first setup error (BadTau, PeakOverflow) in
+# row order, else the error of the summation loop.
+SPLIT_TAUS = ("-1/2", "-1/3", "-2/3", "-3/2", "-5/4", "-1/7", "-sqrt2+1", "-phi+1", "-e+2", "-sqrt2", "-sqrt3")
+REVERSED_TAUS = ("0", "1/3", "1/2", "1", "3/2", "sqrt2-1", "pi-3", "-1/2", "-sqrt2+1")
+KERNEL_THETAS = ("0", "1/4", "2/7", "3/10", "sqrt2-1", "sqrt3-1", "pi-3")
+# Small n ends a row by its range, large n by underflow: one batch mixes both.
+KERNEL_NS = st.lists(st.one_of(st.integers(1, 12), st.integers(13, 10**5)), min_size=1, max_size=10)
+
+
+def bits(c: complex) -> tuple:
+    return c.real.hex(), c.imag.hex()
+
+
+def kernel_z(r: float, phase: float) -> complex:
+    return cmath.rect(r, phase)
+
+
+def scalar_rows(evaluate, count):
+    """Per-row results of the scalar oracle, and the error a batch of them must raise (or None)."""
+    results, errors = [], []
+    for i in range(count):
+        try:
+            results.append(evaluate(i))
+        except (AssertionError, SwigertError, ZeroDivisionError) as exc:
+            errors.append(exc)
+    setup = [e for e in errors if isinstance(e, (BadTau, PeakOverflow))]
+    return results, (setup or errors or [None])[0]
+
+
+def assert_raises_like(kernel, expected) -> None:
+    with pytest.raises(type(expected)) as info:
+        kernel()
+    assert type(info.value) is type(expected) and str(info.value) == str(expected)
+
+
+class TestBatchKernels:
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.floats(0.05, 0.95), r=st.floats(0.2, 5.0), phase=st.floats(0.0, 2 * math.pi),
+           tau=st.sampled_from(SPLIT_TAUS), theta=st.sampled_from(KERNEL_THETAS), ns=KERNEL_NS,
+           shifts=st.none() | st.lists(st.sampled_from((-1, 0, 1)), min_size=10, max_size=10))
+    @example(q=0.5, r=1.0, phase=0.4, tau="-1/2", theta="1/4", ns=[20_001], shifts=None)
+    def test_split_kernel_equals_scalar(self, q, r, phase, tau, theta, ns, shifts):
+        sc, z = make_scaling(tau, theta), kernel_z(r, phase)
+        ms = None if shifts is None else [sc.minus_tau_split(n)[0] + s for n, s in zip(ns, shifts)]
+        refs, error = scalar_rows(lambda i: sw_theta_normalized(ns[i], z, sc, q, m=None if ms is None else ms[i]),
+                                  len(ns))
+        if error is not None:
+            assert_raises_like(lambda: _split_sums(ns, ms, z, sc, q), error)
+            return
+        for got, ref in zip(_split_sums(ns, ms, z, sc, q), refs):
+            assert (bits(got.value), bits(got.s1), bits(got.s2)) == (bits(ref.value), bits(ref.s1), bits(ref.s2))
+            assert (got.m, got.c_n, got.d_n, got.chi_m) == (ref.m, ref.c_n, ref.d_n, ref.chi_m)
+            assert got == ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.floats(0.05, 0.95), r=st.floats(0.2, 5.0), phase=st.floats(0.0, 2 * math.pi),
+           tau=st.sampled_from(REVERSED_TAUS), theta=st.sampled_from(KERNEL_THETAS), ns=KERNEL_NS)
+    @example(q=0.5, r=1.0, phase=0.4, tau="1/2", theta="sqrt2-1", ns=[20_001])
+    def test_reversed_kernel_equals_scalar(self, q, r, phase, tau, theta, ns):
+        sc, z = make_scaling(tau, theta), kernel_z(r, phase)
+        refs, error = scalar_rows(lambda i: sw_normalized(ns[i], z, sc, q), len(ns))
+        if error is not None:
+            assert_raises_like(lambda: _reversed_sums(ns, z, sc, q), error)
+            return
+        got = _reversed_sums(ns, z, sc, q)
+        assert [bits(v) for v in got] == [bits(v) for v in refs]
+
+    def test_rows_stop_at_different_k(self):
+        # n = 1..3 end by their range, n = 40 and 4 001 by underflow; an explicit m
+        # past the floor gives the first row an empty s1 range
+        sc, z, q = make_scaling("-1/3", "2/7"), 1.3 - 0.4j, 0.6
+        ns = [1, 2, 3, 40, 4_001]
+        ms = [-1, 0, 1, 13, 1_333]
+        for got, n, m in zip(_split_sums(ns, ms, z, sc, q), ns, ms):
+            assert got == sw_theta_normalized(n, z, sc, q, m=m)
+        assert _split_sums(ns, ms, z, sc, q)[0].s1 == 0
+
+    def test_first_failing_row_sets_the_error(self):
+        sc, z, q = make_scaling("-1/2", "1/4"), 1.0 + 0.5j, 0.5
+        ns, ms = [10, 20, 30], [5, 10, 12]      # c = 3 at n = 30
+        with pytest.raises(BadTau, match="c = 3.0"):
+            _split_sums(ns, ms, z, sc, q)
+        with pytest.raises(PeakOverflow, match="n=2000"):
+            _reversed_sums([5, 2000, 3000], 1.0, make_scaling("-3/2", "0"), 0.3)
+
+
+# A pair whose complex128 product from numpy differs from CPython's in the last
+# bit of the imaginary part on AVX-512 hosts with FMA, where numpy fuses the
+# multiply-add.  The kernels keep real and imaginary parts as separate float64
+# arrays for this reason.
+FUSED_PAIR = (complex(-1.4625430235503951, 1.3897349477489307), complex(-0.39706033476494484, -0.3991938099382324))
+
+
+def _has_avx512_fma() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        return False
+    return bool(features.get("AVX512F") and features.get("FMA3"))
+
+
+class TestComplexProductOrder:
+    def test_split_product_matches_cpython(self):
+        a, b = FUSED_PAIR
+        re, im = _mul(np.array([a.real] * 8), np.array([a.imag] * 8), np.array([b.real] * 8), np.array([b.imag] * 8))
+        assert all(bits(complex(x, y)) == bits(a * b) for x, y in zip(re.tolist(), im.tolist()))
+
+    @pytest.mark.skipif(not _has_avx512_fma(), reason="numpy fuses complex products only on AVX-512 hosts with FMA")
+    def test_complex128_product_differs_from_cpython(self):
+        a, b = FUSED_PAIR
+        assert bits(complex((np.array([a] * 8) * np.array([b] * 8))[0])) != bits(a * b)
 
 
 class TestScaledArgument:
