@@ -14,10 +14,11 @@ complex-log space with principal branches.
 The power convention throughout is w**n = exp(n * Log(w)) with the
 principal logarithm, applied once before any scaling.
 
-A sweep does not call the scalar evaluators row by row.  The private batch
-kernels ``_reversed_sums`` and ``_split_sums`` hold a sweep's rows as numpy
-arrays and loop over k once, updating every live row per step; the scalar
-``sw_normalized`` and ``sw_theta_normalized`` are their cross-check oracles.
+Each normalized sum has one implementation, a private batch kernel:
+``_reversed_sums`` and ``_split_sums`` hold a sweep's rows as numpy arrays
+and loop over k once, updating every live row per step.  ``sw_normalized``
+and ``sw_theta_normalized`` are their one-row calls.  The tests hold each
+sum once more as a scalar k-loop, the kernels' bit-for-bit oracle.
 The kernels give each row the scalar loop's bits by one rule: a complex
 value is a pair of float64 arrays (real, imaginary), and each complex
 product or quotient is written out with one ufunc per operation in the order
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -61,8 +63,10 @@ __all__ = [
 # this degree for q >= 0.2 and moderate |x|; beyond it use a normalized form.
 _DIRECT_CAP = 30
 
-# Magnitudes of log-scale exponents beyond this overflow exp() in doubles.
+# Magnitudes of log-scale exponents beyond this overflow exp() in doubles;
+# _LOG_MAX is the exact edge, past which exp() raises.
 _LOG_LIMIT = 700.0
+_LOG_MAX = math.log(sys.float_info.max)
 
 _UNDERFLOW = 1e-300
 
@@ -139,34 +143,6 @@ def log_theta_normalizer(n: int, z, scaling: Scaling, q, m: int | None = None) -
     )
 
 
-def _reversed_setup(n: int, zc: complex, scaling: Scaling, qv: float) -> tuple[complex, int]:
-    """(base, k_break) of the reversed sum at index n.
-
-    Raises PeakOverflow when the interior term peak leaves double range.
-    """
-    tau = scaling.tau.value
-    lnq = math.log(qv)
-
-    # Peak of log|q^(k^2 + tau n k) / z^k| over real k in [0, n].
-    def log_term(k: float) -> float:
-        return (k * k + tau * n * k) * lnq - k * math.log(abs(zc))
-
-    k_star = (math.log(abs(zc)) / lnq - tau * n) / 2.0
-    peak = max(log_term(0.0), log_term(float(n)), log_term(min(max(k_star, 0.0), float(n))))
-    if peak > _LOG_LIMIT:
-        raise PeakOverflow(f"term peak exp({peak:.1f}) at n={n}, tau={tau}; use the theta-centered form")
-    d = scaling.theta_frac(n)
-    base = -(qv ** (tau * n)) / zc * cmath.exp(complex(0.0, 2.0 * math.pi * d))
-    return base, int(math.ceil(max(k_star, 0.0))) + 1
-
-
-def _check_reversed(z, ns) -> None:
-    if z == 0:
-        raise ZeroArgument("normalized evaluation requires z != 0")
-    if min(ns, default=1) < 1:
-        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
-
-
 def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
     """Reversed sum sum_k q^(k^2) e^(2 pi i k {n theta}) (-q^(tau n)/z)^k / ((q;q)_k (q;q)_{n-k}).
 
@@ -174,21 +150,7 @@ def sw_normalized(n: int, z, scaling: Scaling, q) -> complex:
     (-z)^n q^(n^2 (1-s)).  Terms decay for tau >= 0; for tau < 0 the call is
     honored only while the interior term peak stays inside double range.
     """
-    qv = QParam.of(q).q
-    _check_reversed(z, (n,))
-    base, k_break = _reversed_setup(n, complex(z), scaling, qv)
-    prefix = _qq_prefix(qv)
-    last = len(prefix) - 1
-    total = complex(0.0)
-    term = complex(1.0)
-    qodd = qv
-    for k in range(n + 1):
-        total += term / (prefix[min(k, last)] * prefix[min(n - k, last)])
-        term *= base * qodd
-        qodd *= qv * qv
-        if k > k_break and abs(term) < _UNDERFLOW:
-            break
-    return total
+    return _reversed_sums((n,), z, scaling, q)[0]
 
 
 @dataclass(frozen=True)
@@ -210,45 +172,6 @@ class SplitSumResult:
     s2: complex
 
 
-def _check_split(z, ns, scaling: Scaling) -> None:
-    tau = scaling.tau.value
-    if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
-        raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")
-    if z == 0:
-        raise ZeroArgument("split evaluation requires z != 0")
-    if min(ns, default=1) < 1:
-        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
-
-
-def _split_setup(n: int, zc: complex, scaling: Scaling, qv: float, m: int | None):
-    """(m, c, d, w1) of the split at index n: -tau*n = m + c, d = {n theta}, w1 the s1 ratio."""
-    m_floor, c_floor = scaling.minus_tau_split(n)
-    if m is None:
-        m, c = m_floor, c_floor
-    else:
-        c = (m_floor - m) + c_floor
-        if not (-1.0 < c < 2.0):
-            raise BadTau(f"offset c = {c!r} too far from [0, 1); wrong m for this n?")
-    d = scaling.theta_frac(n)
-    exponent = (m - 2 * (m // 2)) + c       # in [0, 2) on the floor path
-    w1 = -zc * (qv**exponent) * cmath.exp(complex(0.0, -2.0 * math.pi * d))
-    return m, c, d, w1
-
-
-def _wide(m: int, c: float) -> bool:
-    """Whether the split's term bound needs the wider window q^(k^2 - 3k).
-
-    The documented bound q^(k^2 - 2k) max^k holds while the exponent chi(m) + c
-    stays in [0, 2); witness decompositions may need the slightly wider window.
-    """
-    return not 0.0 <= (m - 2 * (m // 2)) + c <= 2.0
-
-
-def _term_bound(k: int, mag: float, qv: float, guard_pow: float) -> float:
-    """Bound asserted on the k-th split term: max^k q^(k (k - guard_pow)), with slack."""
-    return mag**k * qv ** (k * (k - guard_pow)) * (1.0 + 1e-9) + 1e-280
-
-
 def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumResult:
     """Theta-centered split evaluation, stable for all n when -2 < tau < 0.
 
@@ -263,44 +186,23 @@ def sw_theta_normalized(n: int, z, scaling: Scaling, q, m: int | None = None) ->
     decompositions -tau*n = m + beta + residual whose fractional offset
     falls outside [0, 1).
     """
-    qv = QParam.of(q).q
-    _check_split(z, (n,), scaling)
-    zc = complex(z)
-    m, c, d, w1 = _split_setup(n, zc, scaling, qv, m)
-    half = m // 2
-    mag = max(abs(zc), 1.0 / abs(zc))
-    prefix = _qq_prefix(qv)
-    last = len(prefix) - 1
-    qq2 = prefix[-1] ** 2
-    guard_pow = 3.0 if _wide(m, c) else 2.0
-
-    def wing(ks: range, sign: int, w: complex, term: complex, qodd: float) -> complex:
-        """Sum over ks of q^(k^2) w^k times the weight at j = m//2 + sign*k.
-
-        ``term`` and ``qodd`` enter as q^(k^2) w^k and q^(2k+1) at the first k.
-        """
-        total = complex(0.0)
-        for k in ks:
-            j = half + sign * k
-            ratio = qq2 / (prefix[min(j, last)] * prefix[min(n - j, last)])
-            assert 0.0 < ratio <= 1.0
-            contrib = term * ratio
-            assert abs(contrib) <= _term_bound(k, mag, qv, guard_pow)
-            total += contrib
-            term *= w * qodd
-            qodd *= qv * qv
-            if k > 2 and abs(term) < _UNDERFLOW:
-                break
-        return total
-
-    w2 = 1.0 / w1
-    s1 = wing(range(half + 1), -1, w1, complex(1.0), qv)
-    s2 = wing(range(1, n - half + 1), 1, w2, w2 * qv, qv**3)
-    return SplitSumResult(value=s1 + s2, m=m, c_n=c, d_n=d, chi_m=m - 2 * half, s1=s1, s2=s2)
+    return _split_sums((n,), None if m is None else (m,), z, scaling, q)[0]
 
 
-# Batch kernels: a sweep's rows run as one vector pass over k, with the bits of
-# the scalar loops above (see the module docstring for the rule).
+def _term_bound(k: int, log_mag: float, log_q: float, guard_pow: float) -> float:
+    """Bound asserted on the k-th split term: max^k q^(k (k - guard_pow)), with slack.
+
+    Formed in log space, so a huge max^k and a tiny q power cannot underflow
+    the bound to its floor; it is inf where the log leaves double range.
+    """
+    x = k * log_mag + k * (k - guard_pow) * log_q
+    if x > _LOG_MAX:
+        return math.inf
+    return math.exp(x) * (1.0 + 1e-9) + 1e-280
+
+
+# Batch kernels: a sweep's rows run as one vector pass over k, each row with
+# CPython's bits (see the module docstring for the rule).
 
 
 def _mul(ar, ai, br, bi):
@@ -362,17 +264,37 @@ class _Rows:
 
 
 def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
-    """``sw_normalized`` at every n of ns, bit for bit, as one vector pass over k."""
+    """The reversed sum of ``sw_normalized`` at every n of ns, as one vector pass over k.
+
+    This is the sum's only implementation; ``sw_normalized`` is its one-row
+    call.  Row setup runs in row order, so the first row whose term peak
+    leaves double range sets the PeakOverflow.
+    """
     qv = QParam.of(q).q
-    _check_reversed(z, ns)
+    if z == 0:
+        raise ZeroArgument("normalized evaluation requires z != 0")
+    if min(ns, default=1) < 1:
+        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
     zc = complex(z)
-    setups = [_reversed_setup(n, zc, scaling, qv) for n in ns]
+    tau = scaling.tau.value
+    lnq = math.log(qv)
+    log_z = math.log(abs(zc))
+    bases, k_breaks = [], []
+    for n in ns:
+        # Peak of log|q^(t^2 + tau n t) / z^t| over real t in [0, n], at an end or at k_star.
+        k_star = (log_z / lnq - tau * n) / 2.0
+        peak = max((t * t + tau * n * t) * lnq - t * log_z for t in (0.0, float(n), min(max(k_star, 0.0), float(n))))
+        if peak > _LOG_LIMIT:
+            raise PeakOverflow(f"term peak exp({peak:.1f}) at n={n}, tau={tau}; use the theta-centered form")
+        d = scaling.theta_frac(n)
+        bases.append(-(qv ** (tau * n)) / zc * cmath.exp(complex(0.0, 2.0 * math.pi * d)))
+        k_breaks.append(int(math.ceil(max(k_star, 0.0))) + 1)
     prefix = _qq_prefix(qv)
     weights = np.array(prefix)
     last = len(prefix) - 1
     size = len(ns)
-    b_re, b_im = _parts([base for base, _ in setups])
-    rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array([kb for _, kb in setups], dtype=np.int64),
+    b_re, b_im = _parts(bases)
+    rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array(k_breaks, dtype=np.int64),
                  b_re=b_re, b_im=b_im, bz_re=b_re * 0.0, bz_im=b_im * 0.0,
                  t_re=np.ones(size), t_im=np.zeros(size), s_re=np.zeros(size), s_im=np.zeros(size))
     may_vanish = _may_vanish(prefix)
@@ -394,26 +316,49 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
 
 
 def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling, q) -> list[SplitSumResult]:
-    """``sw_theta_normalized`` at every n of ns (with m = ms[i] when given), bit for bit.
+    """The split sum of ``sw_theta_normalized`` at every n of ns (with m = ms[i] when given).
 
-    Both wings of every row run in one vector pass over k: s1 from k = 0,
-    s2 joining at k = 1, so all live rows share k and its term bound.
+    This is the sum's only implementation; ``sw_theta_normalized`` is its
+    one-row call.  Row setup runs in row order, so the first row whose m is
+    too far from the floor sets the BadTau.  Both wings of every row run in
+    one vector pass over k: s1 from k = 0, s2 joining at k = 1, so all live
+    rows share k and its term bound.
     """
     qv = QParam.of(q).q
-    _check_split(z, ns, scaling)
+    tau = scaling.tau.value
+    if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
+        raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")
+    if z == 0:
+        raise ZeroArgument("split evaluation requires z != 0")
+    if min(ns, default=1) < 1:
+        raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
     zc = complex(z)
-    setups = [_split_setup(n, zc, scaling, qv, None if ms is None else ms[i]) for i, n in enumerate(ns)]
+    setups, w1, wide = [], [], []
+    for i, n in enumerate(ns):
+        # -tau*n = m + c; an explicit m moves c off [0, 1) by whole steps
+        m_floor, c_floor = scaling.minus_tau_split(n)
+        m = m_floor if ms is None else ms[i]
+        c = (m_floor - m) + c_floor
+        if not (-1.0 < c < 2.0):
+            raise BadTau(f"offset c = {c!r} too far from [0, 1); wrong m for this n?")
+        d = scaling.theta_frac(n)
+        exponent = (m - 2 * (m // 2)) + c       # in [0, 2) on the floor path
+        setups.append((m, c, d))
+        w1.append(-zc * (qv**exponent) * cmath.exp(complex(0.0, -2.0 * math.pi * d)))
+        # the documented bound q^(k^2 - 2k) max^k holds while the exponent stays
+        # in [0, 2]; witness decompositions may need the wider q^(k^2 - 3k)
+        wide.append(not 0.0 <= exponent <= 2.0)
     size = len(ns)
     n = np.array(ns, dtype=np.int64)
-    half = np.array([m // 2 for m, _, _, _ in setups], dtype=np.int64)
-    wide = np.array([_wide(m, c) for m, c, _, _ in setups], dtype=bool)
-    w1 = [w for _, _, _, w in setups]
+    half = np.array([m // 2 for m, _, _ in setups], dtype=np.int64)
+    wide = np.array(wide, dtype=bool)
     w2 = [1.0 / w for w in w1]
     s1 = _wing_rows(n, half, half, -1, w1, [complex(1.0)] * size, qv, wide)
     s2 = _wing_rows(n, half, n - half, 1, w2, [w * qv for w in w2], qv**3, wide)
     prefix = _qq_prefix(qv)
-    step = partial(_wing_step, weights=np.array(prefix), qq2=prefix[-1] ** 2, mag=max(abs(zc), 1.0 / abs(zc)),
-                   qv=qv, any_wide=bool(wide.any()), may_vanish=_may_vanish(prefix))
+    step = partial(_wing_step, weights=np.array(prefix), qq2=prefix[-1] ** 2,
+                   log_mag=math.log(max(abs(zc), 1.0 / abs(zc))), log_q=math.log(qv), qv=qv,
+                   any_wide=bool(wide.any()), may_vanish=_may_vanish(prefix))
     s1.retire(s1.k_end < 0)               # an empty range sums to 0
     step(s1, 0)
     s2.retire(s2.k_end < 1)
@@ -425,7 +370,7 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     sums = s1.sums()
     return [
         SplitSumResult(value=a + b, m=m, c_n=c, d_n=d, chi_m=m - 2 * (m // 2), s1=a, s2=b)
-        for (m, c, d, _), a, b in zip(setups, sums[:size], sums[size:])
+        for (m, c, d), a, b in zip(setups, sums[:size], sums[size:])
     ]
 
 
@@ -439,9 +384,9 @@ def _wing_rows(n, half, k_end, sign: int, w, term, qodd: float, wide) -> _Rows:
                  t_re=t_re, t_im=t_im, s_re=np.zeros(size), s_im=np.zeros(size))
 
 
-def _wing_step(rows: _Rows, k: int, weights, qq2: float, mag: float, qv: float, any_wide: bool,
-               may_vanish: bool) -> None:
-    """Step k of ``sw_theta_normalized``'s wing loop on every live row."""
+def _wing_step(rows: _Rows, k: int, weights, qq2: float, log_mag: float, log_q: float, qv: float,
+               any_wide: bool, may_vanish: bool) -> None:
+    """Step k of the split sum's wing loop on every live row."""
     if not rows.pos.size:
         return
     j = rows.half + rows.sign * k
@@ -453,9 +398,9 @@ def _wing_step(rows: _Rows, k: int, weights, qq2: float, mag: float, qv: float, 
     c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
     if any_wide:
         assert (np.hypot(c_re, c_im) <= np.where(
-            rows.wide, _term_bound(k, mag, qv, 3.0), _term_bound(k, mag, qv, 2.0))).all()
+            rows.wide, _term_bound(k, log_mag, log_q, 3.0), _term_bound(k, log_mag, log_q, 2.0))).all()
     else:
-        assert np.hypot(c_re, c_im).max() <= _term_bound(k, mag, qv, 2.0)
+        assert np.hypot(c_re, c_im).max() <= _term_bound(k, log_mag, log_q, 2.0)
     rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
     # w * qodd, its two "* 0.0" products hoisted out of the loop
     wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd

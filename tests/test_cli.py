@@ -251,6 +251,19 @@ class TestVerifyCmd:
         assert json.loads(flags_run[1])["n_last"] == 97
         assert flags_out.read_bytes() == cfg_out.read_bytes()
 
+    def test_deep_terms_keep_their_bound(self, capsys, tmp_path):
+        # q = 0.9 and |z| far from 1: max^k is huge while q^(k (k - 2)) alone
+        # underflows; at n = 401 the k = 86 s2 term is 3.3e-280
+        out_path = tmp_path / "deep.csv"
+        code, out, _ = run(
+            capsys, "verify", "--case", "4", "--q", "0.9", "--z-re", "-0.0537", "--z-im", "-0.2108",
+            "--tau", "-1/2", "--theta", "1/4", "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "401",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out)["n_count"] == 101
+        assert out_path.read_text().count("\n") == 102
+
 
 def assert_usage_error(code, err, *names):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err

@@ -28,7 +28,7 @@ from swigert.swpoly import (
     sw_theta_normalized,
 )
 
-from _oracles import normalized_reference, qpoch_product, sw_sum
+from _oracles import normalized_reference, qpoch_product, reversed_sum, split_sum, sw_sum
 
 GRID_Q = (0.3, 0.5, 0.8)
 GRID_Z = (1.0 + 0j, 2.0 + 0j, 0.5 + 1.0j, cmath.exp(1j * math.pi / 3.0))
@@ -184,6 +184,35 @@ class TestSplitSum:
             sw_theta_normalized(3, 0.0, make_scaling("-1/2", "0"), 0.5)
 
 
+# Types and messages the scalar evaluators raised, recorded from them: the
+# one-row kernel calls behind the public names must raise the same.
+PUBLIC_ERRORS = [
+    pytest.param(lambda: sw_normalized(0, 1.0, make_scaling("1/2", "0"), 0.5),
+                 DomainTooLarge, "n must be >= 1, got 0", id="reversed-n0"),
+    pytest.param(lambda: sw_theta_normalized(0, 1.0, make_scaling("-1/2", "0"), 0.5),
+                 DomainTooLarge, "n must be >= 1, got 0", id="split-n0"),
+    pytest.param(lambda: sw_normalized(3, 0.0, make_scaling("1/2", "0"), 0.5),
+                 ZeroArgument, "normalized evaluation requires z != 0", id="reversed-z0"),
+    pytest.param(lambda: sw_theta_normalized(3, 0.0, make_scaling("-1/2", "0"), 0.5),
+                 ZeroArgument, "split evaluation requires z != 0", id="split-z0"),
+    pytest.param(lambda: sw_theta_normalized(5, 1.0, make_scaling("1/2", "0"), 0.5),
+                 BadTau, "split evaluation requires -2 < tau < 0, got 0.5", id="split-tau-above"),
+    pytest.param(lambda: sw_theta_normalized(5, 1.0, make_scaling("-2", "0"), 0.5),
+                 BadTau, "split evaluation requires -2 < tau < 0, got -2.0", id="split-tau-below"),
+    pytest.param(lambda: sw_theta_normalized(30, 1.0 + 0.5j, make_scaling("-1/2", "1/4"), 0.5, m=12),
+                 BadTau, "offset c = 3.0 too far from [0, 1); wrong m for this n?", id="split-m-low"),
+    pytest.param(lambda: sw_theta_normalized(30, 1.0 + 0.5j, make_scaling("-1/2", "1/4"), 0.5, m=17),
+                 BadTau, "offset c = -2.0 too far from [0, 1); wrong m for this n?", id="split-m-high"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", PUBLIC_ERRORS)
+def test_public_evaluator_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestPochTailRatios:
     """The split sum's ratio weights e(k) = ratio_weight(m//2 - k, n) and
     f(k) = ratio_weight(m//2 + k, n)."""
@@ -275,12 +304,12 @@ class TestGoldenBits:
     def test_split_sum_bits(self, n, z, spec, q, m_shift, value, s1, s2):
         sc = golden_scaling(spec)
         m = None if m_shift is None else sc.minus_tau_split(n)[0] + m_shift
-        res = sw_theta_normalized(n, z, sc, q, m=m)
+        res = split_sum(n, z, sc, q, m=m)
         assert (repr(res.value), repr(res.s1), repr(res.s2)) == (value, s1, s2)
 
     @pytest.mark.parametrize("n, z, spec, q, value", NORMALIZED_GOLDEN)
     def test_reversed_sum_bits(self, n, z, spec, q, value):
-        assert repr(sw_normalized(n, z, golden_scaling(spec), q)) == value
+        assert repr(reversed_sum(n, z, golden_scaling(spec), q)) == value
 
     @pytest.mark.parametrize("n, z, spec, q, m_shift, value, s1, s2", SPLIT_GOLDEN)
     def test_split_kernel_bits(self, n, z, spec, q, m_shift, value, s1, s2):
@@ -294,7 +323,7 @@ class TestGoldenBits:
         assert [repr(v) for v in _reversed_sums([n], z, golden_scaling(spec), q)] == [value]
 
 
-# The batch kernels must reproduce the scalar evaluators bit for bit, and raise
+# The batch kernels must reproduce the scalar oracle loops bit for bit, and raise
 # what the scalar rows raise: the first setup error (BadTau, PeakOverflow) in
 # row order, else the error of the summation loop.
 SPLIT_TAUS = ("-1/2", "-1/3", "-2/3", "-3/2", "-5/4", "-1/7", "-sqrt2+1", "-phi+1", "-e+2", "-sqrt2", "-sqrt3")
@@ -339,8 +368,7 @@ class TestBatchKernels:
     def test_split_kernel_equals_scalar(self, q, r, phase, tau, theta, ns, shifts):
         sc, z = make_scaling(tau, theta), kernel_z(r, phase)
         ms = None if shifts is None else [sc.minus_tau_split(n)[0] + s for n, s in zip(ns, shifts)]
-        refs, error = scalar_rows(lambda i: sw_theta_normalized(ns[i], z, sc, q, m=None if ms is None else ms[i]),
-                                  len(ns))
+        refs, error = scalar_rows(lambda i: split_sum(ns[i], z, sc, q, m=None if ms is None else ms[i]), len(ns))
         if error is not None:
             assert_raises_like(lambda: _split_sums(ns, ms, z, sc, q), error)
             return
@@ -355,7 +383,7 @@ class TestBatchKernels:
     @example(q=0.5, r=1.0, phase=0.4, tau="1/2", theta="sqrt2-1", ns=[20_001])
     def test_reversed_kernel_equals_scalar(self, q, r, phase, tau, theta, ns):
         sc, z = make_scaling(tau, theta), kernel_z(r, phase)
-        refs, error = scalar_rows(lambda i: sw_normalized(ns[i], z, sc, q), len(ns))
+        refs, error = scalar_rows(lambda i: reversed_sum(ns[i], z, sc, q), len(ns))
         if error is not None:
             assert_raises_like(lambda: _reversed_sums(ns, z, sc, q), error)
             return
@@ -369,7 +397,7 @@ class TestBatchKernels:
         ns = [1, 2, 3, 40, 4_001]
         ms = [-1, 0, 1, 13, 1_333]
         for got, n, m in zip(_split_sums(ns, ms, z, sc, q), ns, ms):
-            assert got == sw_theta_normalized(n, z, sc, q, m=m)
+            assert got == split_sum(n, z, sc, q, m=m)
         assert _split_sums(ns, ms, z, sc, q)[0].s1 == 0
 
     def test_first_failing_row_sets_the_error(self):
