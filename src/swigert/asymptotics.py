@@ -16,7 +16,8 @@ An axis is ``"theta"`` or ``"-tau"``.  The required parameters, the index
 source (a range, a lattice progression or a witness search), the
 admissible filter, the witness carried by each row, the kind of truncation
 depth nu_n and the form of the main term all follow from these three
-fields; only the error budget keeps one formula per regime family.
+fields; only the error budget keeps one formula per regime family, which
+a sweep evaluates in one pass over per-(q, |z|) constants computed once.
 
 The asymptotic statements hold from some unquantified index onward;
 ``summarize_rows`` therefore reports the empirical n beyond which every
@@ -30,7 +31,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -204,12 +204,6 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
     return 0
 
 
-@lru_cache(maxsize=128)
-def _const(fn, *args):
-    """fn(*args, _CONST_TOL).value: the per-(q, |z|) budget constants and main terms."""
-    return fn(*args, _CONST_TOL).value
-
-
 def _safe_exp(x: float) -> float:
     return math.exp(x) if x > -745.0 else 0.0
 
@@ -226,12 +220,12 @@ def main_term(case_id: int, params: CaseParams, z, q, m: Optional[int] = None) -
     if not targets:
         return complex(1.0)
     if len(targets) == 1:
-        return _const(ramanujan_Aq, _exp_2pii(targets[0]) / zc, qv)
+        return ramanujan_Aq(_exp_2pii(targets[0]) / zc, qv, _CONST_TOL).value
     if m is None:
         raise MissingParam(f"case {case_id} main term needs the integer m for chi(m)")
     u, v = targets
     w = -zc * qv ** (chi(m) + u) * _exp_2pii(-v)
-    return _const(theta_series, w, qv)
+    return theta_series(w, qv, _CONST_TOL).value
 
 
 def _exp_2pii(t: float) -> complex:
@@ -242,9 +236,9 @@ def _exp_2pii(t: float) -> complex:
 def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     """Explicit error budget of the regime at index n.
 
-    Constants are evaluated once per (q, |z|) at tolerance 1e-13.  The
-    case-1 budget has two parts.  With P_j = (q^j; q)_inf and
-    w = -q^(tau n) e^(2 pi i {n theta}) / z,
+    Constants are evaluated at tolerance 1e-13, once per call here and once
+    per sweep in ``verify``.  The case-1 budget has two parts.  With
+    P_j = (q^j; q)_inf and w = -q^(tau n) e^(2 pi i {n theta}) / z,
 
         lhs - 1 = (P_{n+1} - 1) + sum_{k=1..n} q^(k^2) w^k P_{n-k+1} / (q;q)_k,
 
@@ -256,26 +250,32 @@ def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     rather than truncation error.
     """
     qv = QParam.of(q).q
+    return _budgets(case_id, params, [n], [nu_n(case_id, params.scaling, n, qv)], z, qv)[0]
+
+
+def _budgets(case_id: int, params: CaseParams, ns: Sequence[int], nus: Sequence[int], z, q: float) -> list[float]:
+    """``error_bound`` at the indices ns and depths nus, with the constants evaluated once."""
     az = abs(complex(z))
-    lnq = math.log(qv)
+    lnq = math.log(q)
     if case_id == 1:
         tau = params.scaling.tau.value
-        majorant = qv * _const(Bq, qv * qv / az, qv).real / ((1.0 - qv) * az) * _safe_exp(tau * n * lnq)
-        return majorant + _safe_exp((n + 1) * lnq) / (1.0 - qv)
-    minus_q3 = _const(qpoch_infinite, -(qv**3), qv).real
+        head = q * Bq(q * q / az, q, _CONST_TOL).real / ((1.0 - q) * az)
+        return [head * _safe_exp(tau * n * lnq) + _safe_exp((n + 1) * lnq) / (1.0 - q) for n in ns]
+    minus_q3 = qpoch_infinite(-(q**3), q, _CONST_TOL).real
+    if case_id in (2, 3):
+        coeff = (2.0 if case_id == 2 else 24.0) * minus_q3 * Bq(1.0 / az, q, _CONST_TOL).real / qq_infinity(q)
+    else:
+        coeff = minus_q3**2 * theta_series(complex(az), math.sqrt(q), _CONST_TOL).real / (1.0 - q) ** 2
+    lnz = math.log(az)
     if case_id == 2:
-        coeff = 2.0 * minus_q3 * _const(Bq, 1.0 / az, qv).real / qq_infinity(qv)
-        return coeff * (_safe_exp(n * lnq / 2.0) + _safe_exp(n * n * lnq / 4.0 - (n // 2) * math.log(az)))
-    nu = nu_n(case_id, params.scaling, n, qv)
+        return [coeff * (_safe_exp(n * lnq / 2.0) + _safe_exp(n * n * lnq / 4.0 - (n // 2) * lnz)) for n in ns]
     if case_id == 3:
-        coeff = 24.0 * minus_q3 * _const(Bq, 1.0 / az, qv).real / qq_infinity(qv)
-        return coeff * (math.log(n) ** 2 / n ** params.rho + _safe_exp(nu * nu * lnq - nu * math.log(az)))
-    coeff = minus_q3**2 * _const(theta_series, complex(az), math.sqrt(qv)).real / (1.0 - qv) ** 2
-    grow = _safe_exp(nu * nu * lnq + nu * math.log(az))
-    shrink = _safe_exp(nu * nu * lnq / 2.0 - nu * math.log(az))
+        return [coeff * (math.log(n) ** 2 / n**params.rho + _safe_exp(nu * nu * lnq - nu * lnz))
+                for n, nu in zip(ns, nus)]
+    wings = [(_safe_exp(nu * nu * lnq + nu * lnz), _safe_exp(nu * nu * lnq / 2.0 - nu * lnz)) for nu in nus]
     if case_id == 4:
-        return 6.0 * coeff * (qv**nu + grow + shrink)
-    return 54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n ** params.rho)
+        return [6.0 * coeff * (q**nu + grow + shrink) for nu, (grow, shrink) in zip(nus, wings)]
+    return [54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n**params.rho) for n, (grow, shrink) in zip(ns, wings)]
 
 
 def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -> list[int]:
@@ -299,9 +299,11 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
 
     The normalized values of all rows come from one batch kernel call; a
     kernel error (BadTau, PeakOverflow) is the one the first failing row
-    raises.  Rows of a witness regime carry the witness along the first
-    witness axis; when that axis is -tau its integer part is the m of the
-    split evaluation.
+    raises.  The main term is evaluated once per sweep, or once per parity
+    chi(m) in the strip regimes, and the budgets in one pass over the
+    rows' depths nu_n.  Rows of a witness regime carry the witness along
+    the first witness axis; when that axis is -tau its integer part is the
+    m of the split evaluation.
     """
     reg = _regime(case_id)
     sc = params.scaling
@@ -319,25 +321,19 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
     if len(reg.targets) == 2:
         splits = _split_sums(ns, ms, z, sc, q)
         lhss = [split.value for split in splits]
-        mains = [main_term(case_id, params, z, q, m=split.m) for split in splits]
+        by_parity = {c: main_term(case_id, params, z, q, m=c) for c in {split.chi_m for split in splits}}
+        mains = [by_parity[split.chi_m] for split in splits]
     else:
         qq_inf = qq_infinity(q)
         lhss = [value * qq_inf for value in _reversed_sums(ns, z, sc, q)]
         mains = [main_term(case_id, params, z, q)] * len(ns)
+    nus = [nu_n(case_id, sc, n, q) for n in ns]
+    bounds = _budgets(case_id, params, ns, nus, z, q)
     rows = []
-    for n, lhs, main, witness in zip(ns, lhss, mains, witnesses):
+    for n, lhs, main, bound, nu, witness in zip(ns, lhss, mains, bounds, nus, witnesses):
         err = abs(lhs - main)
-        bound = error_bound(case_id, params, n, z, q)
-        rows.append(CaseVerificationRow(
-            n=n,
-            lhs=complex(lhs),
-            main=complex(main),
-            abs_err=err,
-            bound=bound,
-            within=err <= bound,
-            nu_n=nu_n(case_id, sc, n, q),
-            witness=witness,
-        ))
+        rows.append(CaseVerificationRow(n=n, lhs=complex(lhs), main=complex(main), abs_err=err, bound=bound,
+                                        within=err <= bound, nu_n=nu, witness=witness))
     return rows
 
 
@@ -351,10 +347,10 @@ def verify(
 ) -> list[CaseVerificationRow]:
     """Verification rows over the admissible subset of the candidates.
 
-    All rows are evaluated in one batch.  ``jobs > 1`` splits the indices
-    into ``jobs`` contiguous chunks, evaluates each in a worker process and
-    joins them in n-order; rows are independent, so parallel and serial runs
-    produce identical output.
+    All rows are evaluated in one batch (see ``_rows``).  ``jobs > 1`` splits
+    the indices into ``jobs`` contiguous chunks, evaluates each in a worker
+    process and joins them in n-order; rows are independent, so parallel and
+    serial runs produce identical output.
     """
     if params.case_id != case_id:
         raise MissingParam(f"case_id {case_id} does not match params.case_id {params.case_id}")
@@ -404,10 +400,10 @@ def candidates_for_case(
         if prog is None:
             raise EmptyCandidates(f"the case-{case_id} targets are not attained together on this lattice")
         mod, residue = prog
-        ns = [n for n in range(residue if residue >= 1 else mod, n_max + 1, mod) if n >= n_min]
+        ns = range(n_min + (residue - n_min) % mod, n_max + 1, mod)
     else:
-        ns = list(range(n_min, n_max + 1))
-    return ns[::n_step]
+        ns = range(n_min, n_max + 1)
+    return list(ns[::n_step])
 
 
 def summarize_rows(rows: Sequence[CaseVerificationRow]) -> VerificationSummary:

@@ -209,6 +209,14 @@ class TestErrorBound:
         expected = coeff * (q**10 + q**100)
         assert error_bound(2, p, n, z, q) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("case", (1, 2, 4))
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_index_below_one_rejected(self, case, n):
+        p = {1: params_case1(), 2: CaseParams(2, Scaling.make("0", "1/3"), lambda_=Fraction(1, 3)),
+             4: params_case4()}[case]
+        with pytest.raises(OutOfRange, match="n must be >= 1"):
+            error_bound(case, p, n, 1.0, 0.5)
+
     def test_strip_bound_underflow_behavior(self):
         # beyond double range the linear-depth budget collapses to exactly 0;
         # at sweep scale it stays comfortably positive
@@ -314,6 +322,16 @@ class TestCandidates:
         assert admissible_candidates(4, p4, ns) == [
             n for n in ns if (-tau * n) % 1 == lam and (theta * n) % 1 == lam1
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=SMALL_FRACTIONS.filter(lambda f: -2 < f < 0), theta=SMALL_FRACTIONS, n0=st.integers(1, 200),
+           n_min=st.integers(1, 300), span=st.integers(0, 400), n_step=st.integers(1, 7))
+    def test_index_sources_equal_list_definition(self, tau, theta, n0, n_min, span, n_step):
+        n_max = n_min + span
+        p = CaseParams(4, Scaling.make(str(tau), str(theta)), lambda_=(-tau * n0) % 1, lambda1=(theta * n0) % 1)
+        on_lattice = [n for n in range(1, n_max + 1) if (-tau * n) % 1 == p.lambda_ and (theta * n) % 1 == p.lambda1]
+        assert candidates_for_case(4, p, n_min, n_max, n_step) == [n for n in on_lattice if n >= n_min][::n_step]
+        assert candidates_for_case(1, params_case1(), n_min, n_max, n_step) == list(range(n_min, n_max + 1))[::n_step]
 
     def test_case1_plain_range(self):
         assert candidates_for_case(1, params_case1(), 5, 9) == [5, 6, 7, 8, 9]

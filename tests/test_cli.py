@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from swigert.asymptotics import candidates_for_case
+from swigert.asymptotics import candidates_for_case, error_bound, main_term, nu_n, verify
 from swigert.cli import SweepConfig, main
 from swigert.diophantine import exact_residual
 from swigert.scaling import RealParam
@@ -422,6 +422,33 @@ def test_witness_rows_split_theta_exactly(case):
     for n in ns:
         d = sc.theta_frac(n) if case == 3 else sw_theta_normalized(n, z, sc, config.q).d_n
         assert d == float((theta * n) % 1)
+
+
+@pytest.mark.parametrize("case", sorted(SEVEN_CASES))
+def test_public_names_equal_the_rows(case):
+    """main_term, error_bound and nu_n at one row give that row's main, bound and nu_n exactly."""
+    config = SweepConfig.from_dict({"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, **SEVEN_CASES[case]})
+    params, z, q = config.case_params(), complex(config.z_re, config.z_im), config.q
+    rows = verify(case, params, z, q, candidates_for_case(case, params, config.n_min, config.n_max))
+    assert rows
+    for row in rows:
+        m = None
+        if case in (4, 5):
+            m = params.scaling.minus_tau_split(row.n)[0]
+        elif case in (6, 7):
+            m = row.witness.m
+        assert main_term(case, params, z, q, m=m) == row.main
+        assert error_bound(case, params, row.n, z, q) == row.bound
+        assert nu_n(case, params.scaling, row.n, q) == row.nu_n
+
+
+def test_readme_quick_start_values_agree(capsys):
+    """The README's library example prints a split value next to its theta main term."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    split_value, main = (complex(token) for token in capsys.readouterr().out.splitlines()[-1].split())
+    assert abs(split_value - main) <= 1e-6
 
 
 # sha256 of the CSV report, the JSON report and the summary of each sweep of
