@@ -196,12 +196,7 @@ def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
     qv = QParam.of(q).q
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    if reg.witnesses:
-        return math.floor(qv**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / qv)))
-    if len(reg.targets) == 2:
-        p, r = scaling.tau.fraction.as_integer_ratio()
-        return min((2 * r + p) * n // (8 * r), -p * n // (8 * r))
-    return 0
+    return _depths(reg, scaling, [n], qv)[0]
 
 
 def _safe_exp(x: float) -> float:
@@ -278,20 +273,25 @@ def _budgets(case_id: int, params: CaseParams, ns: Sequence[int], nus: Sequence[
     return [54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n**params.rho) for n, (grow, shrink) in zip(ns, wings)]
 
 
+def _depths(reg: _Regime, scaling: Scaling, ns: Sequence[int], q: float) -> list[int]:
+    """``nu_n`` at the indices ns, for a checked regime, q in (0, 1) and n >= 1."""
+    if reg.witnesses:
+        return [math.floor(q**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / q))) for n in ns]
+    if len(reg.targets) == 2:
+        p, r = scaling.tau.fraction.as_integer_ratio()
+        return [min((2 * r + p) * n // (8 * r), -p * n // (8 * r)) for n in ns]
+    return [0] * len(ns)
+
+
 def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -> list[int]:
     """Filter a candidate list down to the indices the regime statement covers.
 
-    Lattice pins fix {n theta} and/or {-tau n} to the declared targets;
-    witness conditions accept what the searches produced.
+    Lattice pins keep n on the progression ``candidates_for_case`` draws from
+    (none if the targets are never attained together); witness conditions
+    accept what the searches produced.
     """
-    pins = [(step.as_integer_ratio(), t) for step, t in _pins(_regime(case_id), params)]
-    out = [int(n) for n in ns if n >= 1 and all(_on_pin(p, r, t, n) for (p, r), t in pins)]
-    return sorted(set(out))
-
-
-def _on_pin(p: int, r: int, t: Fraction, n: int) -> bool:
-    """{n * p/r} == t, decided in integers as ``Scaling.minus_tau_split`` splits."""
-    return (p * n % r) * t.denominator == t.numerator * r
+    prog = lattice_progression(_pins(_regime(case_id), params))
+    return sorted({int(n) for n in ns if prog and n >= 1 and n % prog[0] == prog[1]})
 
 
 def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[int]) -> list[CaseVerificationRow]:
@@ -327,7 +327,7 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
         qq_inf = qq_infinity(q)
         lhss = [value * qq_inf for value in _reversed_sums(ns, z, sc, q)]
         mains = [main_term(case_id, params, z, q)] * len(ns)
-    nus = [nu_n(case_id, sc, n, q) for n in ns]
+    nus = _depths(reg, sc, ns, q)
     bounds = _budgets(case_id, params, ns, nus, z, q)
     rows = []
     for n, lhs, main, bound, nu, witness in zip(ns, lhss, mains, bounds, nus, witnesses):

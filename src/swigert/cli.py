@@ -9,11 +9,12 @@ verify   run one regime sweep; write a CSV (or JSON) of verification rows
          plus a JSON summary; exit 0 iff the bound held from some index on
 sweep    run a batch of verify configs from one JSON file
 
-A verify config holds the same settings as the verify flags, under the
-flags' names (``--case`` is ``case_id``, ``--nmin``/``--nmax``/``--nstep``
-are ``n_min``/``n_max``/``n_step``).  Flags and config files alike are
-defaulted and validated by ``SweepConfig.from_dict`` alone; a bad setting
-exits 2 with the setting named.
+The verify flags are generated from the ``SweepConfig`` fields, in field
+order: a flag's dest is its config key and its name the key with dashes
+(``--z-re``), except ``--case``/``--nmin``/``--nmax``/``--nstep`` for
+``case_id``/``n_min``/``n_max``/``n_step``.  Flags and config files alike
+are defaulted and validated by ``SweepConfig.from_dict`` alone; a bad
+setting exits 2 with the setting named.
 
 Scaling values accept exact rationals ("1/3", "0.25"), symbolic tokens
 (sqrt2, sqrt3, phi, e, pi, optionally negated/offset like "sqrt2-1"), or
@@ -111,6 +112,7 @@ class SweepConfig:
 
 
 _SWEEP_HINTS = typing.get_type_hints(SweepConfig)   # evaluated once: from_dict runs per sweep
+_FLAG_NAMES = {"case_id": "--case", "n_min": "--nmin", "n_max": "--nmax", "n_step": "--nstep"}  # not --key-with-dashes
 
 
 def _read_json(path: str):
@@ -221,27 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--out", default=None)
     p_wit.set_defaults(func=_cmd_witness)
 
-    # No defaults here: a flag that is not given is absent, and from_dict fills it in.
+    # One flag per SweepConfig field, dest = config key; no defaults: from_dict fills in what is not given.
     p_ver = sub.add_parser("verify", help="run one regime sweep and report", argument_default=argparse.SUPPRESS)
     p_ver.add_argument("--config", help="JSON file of sweep settings, keyed like the flag dests; flags are then ignored")
-    p_ver.add_argument("--case", dest="case_id", type=int)
-    p_ver.add_argument("--q", type=float)
-    p_ver.add_argument("--z-re", dest="z_re", type=float)
-    p_ver.add_argument("--z-im", dest="z_im", type=float)
-    p_ver.add_argument("--tau")
-    p_ver.add_argument("--theta")
-    p_ver.add_argument("--lambda")
-    p_ver.add_argument("--lambda1")
-    p_ver.add_argument("--beta", type=float)
-    p_ver.add_argument("--beta1", type=float)
-    p_ver.add_argument("--beta2", type=float)
-    p_ver.add_argument("--rho", type=float)
-    p_ver.add_argument("--nmin", dest="n_min", type=int)
-    p_ver.add_argument("--nmax", dest="n_max", type=int)
-    p_ver.add_argument("--nstep", dest="n_step", type=int)
-    p_ver.add_argument("--out")
-    p_ver.add_argument("--format")
-    p_ver.add_argument("--jobs", type=int)
+    for f in dataclasses.fields(SweepConfig):
+        key = f.name.rstrip("_")
+        types = _accepted_types(_SWEEP_HINTS[f.name])
+        p_ver.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
+                           type=None if str in types else types[0])
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a batch of verify configs")
@@ -251,24 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set:
-    """Option strings of the parser and its subcommands that take one value."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.option_strings and action.nargs is None:
-            flags.update(action.option_strings)
-    return flags
+_PARSER = build_parser()
 
 
-def _attach_signed_values(parser: argparse.ArgumentParser, argv) -> list:
-    """Join a value starting with '-' to its flag ('--z -1e-3' -> '--z=-1e-3'); argparse reads it as an option."""
-    flags = _value_flags(parser)
+def _attach_signed_values(argv) -> list:
+    """'--z -1e-3' -> '--z=-1e-3', which argparse would read as two options; all but --help take one value."""
     out = []
     for arg in argv:
-        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--"):
+        waiting = out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] not in ("--", "--help")
+        if waiting and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -276,8 +256,7 @@ def _attach_signed_values(parser: argparse.ArgumentParser, argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(parser, sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (SwigertError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError

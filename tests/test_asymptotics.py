@@ -163,6 +163,64 @@ class TestMainTerm:
             main_term(4, params_case4(), 1.0, 0.5)
 
 
+# Regime parameters and repr(error_bound) at deep rows (n up to 10^5),
+# recorded from the per-row budget formulas.
+BUDGET_PARAMS = {
+    1: ("1", "3/10", {}),
+    2: ("0", "1/3", dict(lambda_=Fraction(1, 3))),
+    3: ("0", SQRT2M1, dict(beta=0.0, rho=0.9)),
+    4: ("-1/100", "1/4", dict(lambda_=Fraction(1, 2), lambda1=Fraction(1, 4))),
+    5: ("-1/2", SQRT3M1, dict(lambda_=Fraction(1, 2), beta=0.0, rho=0.9)),
+    6: ("-sqrt2+1", "1/4", dict(lambda_=Fraction(1, 4), beta=0.0, rho=0.9)),
+    7: ("-sqrt2+1", SQRT3M1, dict(beta1=0.0, beta2=0.0, rho=0.3)),
+}
+BUDGET_BITS = {
+    (1, 0.5, (1+0.5j), 300): 1.0318621811887853e-90,
+    (1, 0.9, (1+0.5j), 300): 1.7804470678712657e-11,
+    (1, 0.9, (1+0.5j), 5000): 1.549970496803913e-226,
+    (2, 0.5, (1+0.5j), 400): 1.1136105891443384e-59,
+    (2, 0.9, (1+0.5j), 400): 149.7406443910788,
+    (2, 0.9, (1+0.5j), 4000): 6.484204280016823e-81,
+    (3, 0.5, (1+0.5j), 10000): 4.875888340532071,
+    (3, 0.5, (1+0.5j), 100000): 0.9021853748637291,
+    (3, 0.9, (1+0.5j), 10000): 54271323904.66934,
+    (3, 0.9, (1+0.5j), 100000): 10675554499.265697,
+    (4, 0.5, (1+0.5j), 10000): 0.02878209363162735,
+    (4, 0.5, (1+0.5j), 10800): 0.014391046815813675,
+    (4, 0.5, (1+0.5j), 11600): 0.007195523407906837,
+    (4, 0.5, (1+0.5j), 14800): 0.00044972021299417733,
+    (4, 0.5, (1+0.5j), 40000): 1.0470864665558965e-13,
+    (4, 0.5, (2+1j), 10000): 0.04550848585208489,
+    (4, 0.5, (2+1j), 10800): 0.022754242926042445,
+    (4, 0.5, (2+1j), 11600): 0.011377121463021223,
+    (4, 0.5, (2+1j), 14800): 0.0007110700914388264,
+    (4, 0.5, (2+1j), 40000): 1.6555890707271788e-13,
+    (4, 0.9, (1+0.5j), 10000): 357261949.46536624,
+    (4, 0.9, (1+0.5j), 10800): 321423653.5668457,
+    (4, 0.9, (1+0.5j), 11600): 289253617.980174,
+    (4, 0.9, (1+0.5j), 14800): 189773596.31616884,
+    (4, 0.9, (1+0.5j), 40000): 6516225.046612612,
+    (4, 0.9, (2+1j), 10000): 7377556747.379108,
+    (4, 0.9, (2+1j), 10800): 6563148871.566361,
+    (4, 0.9, (2+1j), 11600): 5894021758.3307495,
+    (4, 0.9, (2+1j), 14800): 3865648199.0552444,
+    (4, 0.9, (2+1j), 40000): 132734134.1785836,
+    (5, 0.5, (1+0.5j), 10000): 59.05737040538974,
+    (5, 0.5, (1+0.5j), 100000): 7.125152449194686,
+    (5, 0.9, (1+0.5j), 10000): 242473606.6429354,
+    (5, 0.9, (1+0.5j), 100000): 47696278.920652226,
+    (6, 0.5, (1+0.5j), 10000): 59.05737040538974,
+    (6, 0.5, (1+0.5j), 100000): 7.125152449194686,
+    (6, 0.9, (1+0.5j), 10000): 242473606.6429354,
+    (6, 0.9, (1+0.5j), 100000): 47696278.920652226,
+    (7, 0.5, (1+0.5j), 10000): 5715.505265554688,
+    (7, 0.5, (1+0.5j), 100000): 4449.97579263406,
+    (7, 0.9, (1+0.5j), 10000): 60906616252.558075,
+    (7, 0.9, (1+0.5j), 100000): 47696278920.652245,
+}
+
+
+
 class TestErrorBound:
     def test_case1_closed_form(self):
         p = params_case1()
@@ -223,6 +281,18 @@ class TestErrorBound:
         p = params_case4()
         assert error_bound(4, p, 201, 1.0 + 0.5j, 0.5) > 1e-3
         assert error_bound(4, p, 10**5, 1.0 + 0.5j, 0.5) == 0.0
+
+    @pytest.mark.parametrize("case", sorted(BUDGET_PARAMS))
+    def test_budget_bits(self, case):
+        # every row's budget keeps the bits of its per-regime formula; the
+        # case-4 rows at q = 0.9 change if q**nu + grow + shrink is summed
+        # in another order
+        tau, theta, kw = BUDGET_PARAMS[case]
+        p = CaseParams(case, Scaling.make(tau, theta), **kw)
+        rows = [(key[1:], bits) for key, bits in BUDGET_BITS.items() if key[0] == case]
+        assert rows
+        for (q, z, n), bits in rows:
+            assert repr(error_bound(case, p, n, z, q)) == repr(bits), (q, z, n)
 
 
 class TestVerifyMechanics:
@@ -322,6 +392,8 @@ class TestCandidates:
         assert admissible_candidates(4, p4, ns) == [
             n for n in ns if (-tau * n) % 1 == lam and (theta * n) % 1 == lam1
         ]
+        p6 = CaseParams(6, Scaling.make("-sqrt2+1", str(theta)), lambda_=lam, beta=0.0, rho=0.9)
+        assert admissible_candidates(6, p6, ns) == [n for n in ns if (theta * n) % 1 == lam]
 
     @settings(max_examples=200, deadline=None)
     @given(tau=SMALL_FRACTIONS.filter(lambda f: -2 < f < 0), theta=SMALL_FRACTIONS, n0=st.integers(1, 200),

@@ -1,13 +1,16 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from swigert.asymptotics import candidates_for_case, error_bound, main_term, nu_n, verify
-from swigert.cli import SweepConfig, main
+from swigert.cli import SweepConfig, build_parser, main
 from swigert.diophantine import exact_residual
 from swigert.scaling import RealParam
 from swigert.swpoly import sw_theta_normalized
@@ -263,6 +266,52 @@ class TestVerifyCmd:
         assert code == 0
         assert json.loads(out)["n_count"] == 101
         assert out_path.read_text().count("\n") == 102
+
+
+    def test_case7_flags_match_config(self, capsys, tmp_path):
+        cfg = {"case_id": 7, "q": 0.5, "tau": "-sqrt2+1", "theta": "sqrt3-1", "beta1": 0.0, "beta2": 0.0,
+               "rho": 0.3, "n_max": 2000, "n_step": 2, "format": "json", "jobs": 2,
+               "out": str(tmp_path / "cfg.json")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        cfg_run = run(capsys, "verify", "--config", str(path))
+        flags_run = run(
+            capsys, "verify", "--case", "7", "--q", "0.5", "--tau", "-sqrt2+1", "--theta", "sqrt3-1",
+            "--beta1", "0", "--beta2", "0", "--rho", "0.3", "--nmax", "2000", "--nstep", "2",
+            "--format", "json", "--jobs", "2", "--out", str(tmp_path / "flags.json"),
+        )
+        assert cfg_run == flags_run and cfg_run[0] in (0, 1)
+        assert json.loads(cfg_run[1])["n_count"] > 1
+        assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+        assert (tmp_path / "cfg.summary.json").read_bytes() == (tmp_path / "flags.summary.json").read_bytes()
+
+
+# Option strings and argparse type of each verify dest; a flag without a type reads its text as given.
+VERIFY_FLAGS = {
+    "help": (["-h", "--help"], None), "config": (["--config"], None),
+    "case_id": (["--case"], int), "q": (["--q"], float), "tau": (["--tau"], None), "theta": (["--theta"], None),
+    "z_re": (["--z-re"], float), "z_im": (["--z-im"], float),
+    "lambda": (["--lambda"], None), "lambda1": (["--lambda1"], None),
+    "beta": (["--beta"], float), "beta1": (["--beta1"], float), "beta2": (["--beta2"], float),
+    "rho": (["--rho"], float),
+    "n_min": (["--nmin"], int), "n_max": (["--nmax"], int), "n_step": (["--nstep"], int),
+    "out": (["--out"], None), "format": (["--format"], None), "jobs": (["--jobs"], int),
+}
+
+
+def test_verify_flags_are_the_config_keys():
+    keys = {f.name.rstrip("_") for f in dataclasses.fields(SweepConfig)}
+    assert set(VERIFY_FLAGS) == keys | {"config", "help"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {a.dest: (a.option_strings, a.type) for a in sub.choices["verify"]._actions} == VERIFY_FLAGS
+
+
+def test_verify_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert {flag for flags, _ in VERIFY_FLAGS.values() for flag in flags} <= set(re.findall(r"--?[\w-]+", out))
 
 
 def assert_usage_error(code, err, *names):
