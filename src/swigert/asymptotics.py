@@ -12,12 +12,12 @@ and theta.  Each regime is described once, by a record in ``_REGIMES``:
 * ``witnesses`` - approximation conditions dist(axis n - param, Z) < n^-rho
   on irrational axes, one searched singly or two as a pair.
 
-An axis is ``"theta"`` or ``"-tau"``.  The required parameters, the index
-source (a range, a lattice progression or a witness search), the
-admissible filter, the witness carried by each row, the kind of truncation
-depth nu_n and the form of the main term all follow from these three
-fields; only the error budget keeps one formula per regime family, which
-a sweep evaluates in one pass over per-(q, |z|) constants computed once.
+An axis is ``"theta"`` or ``"-tau"``.  From these three fields follow the
+regime of a scaling (the one pinning its rational axes and witnessing its
+irrational ones), the required parameters, the index source (a range, a
+lattice progression or a witness search), the admissible filter, the row
+witnesses, the kind of truncation depth nu_n and the main term; only the
+error budget keeps one formula per regime family, evaluated once per sweep.
 
 The asymptotic statements hold from some unquantified index onward;
 ``summarize_rows`` therefore reports the empirical n beyond which every
@@ -68,6 +68,11 @@ class _Regime:
         if self.witnesses:
             used.add("rho")
         return tuple(name for name in _PARAM_NAMES if name in used)
+
+    @property
+    def axes(self) -> dict[str, bool]:
+        """Each axis the regime puts a condition on, mapped to True if pinned (rational), False if witnessed."""
+        return {axis: (axis, name) in self.pins for axis, name in self.pins + self.witnesses}
 
 
 _REGIMES = {
@@ -167,23 +172,15 @@ class VerificationSummary:
 def classify_case(scaling: Scaling) -> int:
     """Regime id 1..7 from the scaling tags; floats never break rational ties."""
     tau = scaling.tau
-    if tau.is_rational:
-        if tau.fraction <= -2:
-            raise UnsupportedScaling(f"tau = {tau.describe()} <= -2 is outside the supported regimes")
-        if tau.fraction == 0:
-            return 2 if scaling.theta.is_rational else 3
-        if tau.fraction > 0:
-            return 1
-    else:
-        if tau.value <= -2.0:
-            raise UnsupportedScaling(f"tau = {tau.value!r} <= -2 is outside the supported regimes")
-        if tau.value == 0.0:
-            raise UnsupportedScaling("tau = 0 must be tagged as the exact rational 0")
-        if tau.value > 0.0:
-            return 1
-    if tau.is_rational:
-        return 4 if scaling.theta.is_rational else 5
-    return 6 if scaling.theta.is_rational else 7
+    if tau.exact <= -2:
+        raise UnsupportedScaling(f"tau = {tau.describe()} <= -2 is outside the supported regimes")
+    if tau.exact == 0 and not tau.is_rational:
+        raise UnsupportedScaling("tau = 0 must be tagged as the exact rational 0")
+    if tau.exact > 0:
+        return 1
+    # the one regime that pins each rational axis and witnesses each irrational one; tau = 0 is no axis
+    tags = {"theta": scaling.theta.is_rational} | ({"-tau": tau.is_rational} if tau.exact else {})
+    return next(case_id for case_id, reg in _REGIMES.items() if reg.axes == tags)
 
 
 def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .asymptotics import CaseParams, candidates_for_case, summarize_rows, verify
+from .asymptotics import _PARAM_NAMES, CaseParams, candidates_for_case, summarize_rows, verify
 from .errors import SwigertError
 from .diophantine import witness_search, witness_search_pair
 from .qcore import CertifiedValue, qpoch_finite, qpoch_infinite
@@ -102,13 +102,8 @@ class SweepConfig:
         return config
 
     def case_params(self) -> CaseParams:
-        return CaseParams(
-            case_id=self.case_id,
-            scaling=Scaling.make(self.tau, self.theta),
-            lambda_=self.lambda_,
-            lambda1=self.lambda1,
-            beta=self.beta, beta1=self.beta1, beta2=self.beta2, rho=self.rho,
-        )
+        params = {name: getattr(self, name) for name in _PARAM_NAMES}
+        return CaseParams(case_id=self.case_id, scaling=Scaling.make(self.tau, self.theta), **params)
 
 
 _SWEEP_HINTS = typing.get_type_hints(SweepConfig)   # evaluated once: from_dict runs per sweep

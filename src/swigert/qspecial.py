@@ -12,10 +12,19 @@ certificate and reports that certificate as ``tail_bound``.
 
 from __future__ import annotations
 
+import cmath
+
 from .errors import OutOfRange, ZeroArgument
 from .qcore import CertifiedValue, QParam, qpoch_infinite, qq_infinity
 
 _MAX_TERMS = 100_000
+
+
+def _finite(total, tail: float) -> CertifiedValue:
+    """The certified sum; OverflowError if a term reached inf or nan on the way."""
+    if not cmath.isfinite(total):
+        raise OverflowError("series sum left double range")
+    return CertifiedValue(total, tail)
 
 
 def _entire_series(w: complex, q: float, tol: float) -> CertifiedValue:
@@ -24,23 +33,28 @@ def _entire_series(w: complex, q: float, tol: float) -> CertifiedValue:
         raise OutOfRange(f"tol must be > 0, got {tol!r}")
     mag = abs(w)
     qq_lo = qq_infinity(q) * (1.0 - 1e-12)
+    if qq_lo == 0.0:
+        raise OutOfRange(f"q = {q!r} is too close to 1: (q;q)_inf underflows to 0")
     total = complex(0.0) if isinstance(w, complex) else 0.0
     term_pow = 1.0   # q^(k^2)
     wk = complex(1.0) if isinstance(w, complex) else 1.0
     poch = 1.0       # (q; q)_k
     qodd = q         # q^(2k+1)
-    for k in range(_MAX_TERMS):
-        total += term_pow * wk / poch
-        head = term_pow * qodd * mag**(k + 1)    # q^((k+1)^2) |w|^(k+1)
-        ratio = qodd * q * q * mag               # q^(2k+3) |w|
-        if ratio <= 0.5:
-            tail = head / ((1.0 - ratio) * qq_lo)
-            if tail <= tol:
-                return CertifiedValue(total, tail)
-        term_pow *= qodd
-        qodd *= q * q
-        wk = wk * w
-        poch *= 1.0 - q**(k + 1)
+    try:
+        for k in range(_MAX_TERMS):
+            total += term_pow * wk / poch
+            head = term_pow * qodd * mag**(k + 1)    # q^((k+1)^2) |w|^(k+1)
+            ratio = qodd * q * q * mag               # q^(2k+3) |w|
+            if ratio <= 0.5:
+                tail = head / ((1.0 - ratio) * qq_lo)
+                if tail <= tol:
+                    return _finite(total, tail)
+            term_pow *= qodd
+            qodd *= q * q
+            wk = wk * w
+            poch *= 1.0 - q**(k + 1)
+    except OverflowError as exc:
+        raise OutOfRange(f"series overflows double range (|w|={mag!r}, q={q!r})") from exc
     raise OutOfRange(f"series did not certify within {_MAX_TERMS} terms (|w|={mag!r})")
 
 
@@ -67,25 +81,30 @@ def Aq_derivative(z, q, tol: float = 1e-12) -> CertifiedValue:
     zc = complex(z)
     mag = abs(zc)
     qq_lo = qq_infinity(qv) * (1.0 - 1e-12)
+    if qq_lo == 0.0:
+        raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_inf underflows to 0")
     total = complex(0.0)
     term_pow = qv       # q^(k^2) at k = 1
     zk = complex(1.0)   # z^(k-1)
     poch = 1.0 - qv     # (q; q)_k
     sign = -1.0
     qodd = qv**3        # q^(2k+1)
-    for k in range(1, _MAX_TERMS):
-        total += sign * k * term_pow * zk / poch
-        head = (k + 1) * term_pow * qodd * mag**k   # (k+1) q^((k+1)^2) |z|^k
-        ratio = 2.0 * qodd * qv * qv * mag          # covers (j+1)/j growth too
-        if ratio <= 0.5:
-            tail = head / ((1.0 - ratio) * qq_lo)
-            if tail <= tol:
-                return CertifiedValue(total, tail)
-        term_pow *= qodd
-        qodd *= qv * qv
-        zk = zk * zc
-        poch *= 1.0 - qv**(k + 1)
-        sign = -sign
+    try:
+        for k in range(1, _MAX_TERMS):
+            total += sign * k * term_pow * zk / poch
+            head = (k + 1) * term_pow * qodd * mag**k   # (k+1) q^((k+1)^2) |z|^k
+            ratio = 2.0 * qodd * qv * qv * mag          # covers (j+1)/j growth too
+            if ratio <= 0.5:
+                tail = head / ((1.0 - ratio) * qq_lo)
+                if tail <= tol:
+                    return _finite(total, tail)
+            term_pow *= qodd
+            qodd *= qv * qv
+            zk = zk * zc
+            poch *= 1.0 - qv**(k + 1)
+            sign = -sign
+    except OverflowError as exc:
+        raise OutOfRange(f"derivative series overflows double range (|z|={mag!r}, q={qv!r})") from exc
     raise OutOfRange(f"derivative series did not certify within {_MAX_TERMS} terms")
 
 
@@ -107,18 +126,21 @@ def theta_series(z, q, tol: float = 1e-12) -> CertifiedValue:
     zm = complex(1.0)
     term_pow = 1.0   # q^(n^2)
     qodd = qv        # q^(2n+1)
-    for n in range(_MAX_TERMS):
-        head = term_pow * qodd * mag**(n + 1)   # q^((n+1)^2) M^(n+1)
-        ratio = qodd * qv * qv * mag
-        if ratio <= 0.5:
-            tail = 2.0 * head / (1.0 - ratio)
-            if tail <= tol:
-                return CertifiedValue(total, tail)
-        term_pow *= qodd
-        qodd *= qv * qv
-        zp = zp * zc
-        zm = zm / zc
-        total += term_pow * (zp + zm)
+    try:
+        for n in range(_MAX_TERMS):
+            head = term_pow * qodd * mag**(n + 1)   # q^((n+1)^2) M^(n+1)
+            ratio = qodd * qv * qv * mag
+            if ratio <= 0.5:
+                tail = 2.0 * head / (1.0 - ratio)
+                if tail <= tol:
+                    return _finite(total, tail)
+            term_pow *= qodd
+            qodd *= qv * qv
+            zp = zp * zc
+            zm = zm / zc
+            total += term_pow * (zp + zm)
+    except OverflowError as exc:
+        raise OutOfRange(f"theta series overflows double range (|z|={abs(zc)!r}, q={qv!r})") from exc
     raise OutOfRange(f"theta series did not certify within {_MAX_TERMS} terms")
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .asymptotics import CaseParams, CaseVerificationRow, VerificationSummary
+from .asymptotics import _PARAM_NAMES, CaseParams, CaseVerificationRow, VerificationSummary
 from .diophantine import DiophantineWitness, PairedWitness
 
 # The row schema, in column order: (column, getter); a missing value is None.
@@ -70,19 +71,13 @@ def witnesses_to_csv(witnesses: Sequence[DiophantineWitness | PairedWitness]) ->
 
 
 def params_payload(params: CaseParams, z: complex, q: float) -> dict:
-    return {
-        "q": q,
-        "z_re": complex(z).real,
-        "z_im": complex(z).imag,
-        "tau": params.scaling.tau.describe(),
-        "theta": params.scaling.theta.describe(),
-        "lambda": None if params.lambda_ is None else str(params.lambda_),
-        "lambda1": None if params.lambda1 is None else str(params.lambda1),
-        "beta": params.beta,
-        "beta1": params.beta1,
-        "beta2": params.beta2,
-        "rho": params.rho,
-    }
+    """q, z, the scaling and every regime parameter, keyed like the config; a pin target as its exact text."""
+    sc = params.scaling
+    payload = {"q": q, "z_re": complex(z).real, "z_im": complex(z).imag, "tau": sc.tau.describe(), "theta": sc.theta.describe()}
+    for name in _PARAM_NAMES:
+        value = getattr(params, name)
+        payload[name.rstrip("_")] = str(value) if isinstance(value, Fraction) else value
+    return payload
 
 
 def summary_to_json(

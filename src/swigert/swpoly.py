@@ -43,21 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadTau, DomainTooLarge, PeakOverflow, ZeroArgument
+from .errors import BadTau, DomainTooLarge, OutOfRange, PeakOverflow, ZeroArgument
 from .qcore import QParam, _qq_prefix, qpoch_q_n, qq_infinity
-from .scaling import RealParam, Scaling
-
-__all__ = [
-    "RealParam",
-    "Scaling",
-    "SplitSumResult",
-    "sw_direct",
-    "sw_normalized",
-    "sw_theta_normalized",
-    "scaled_argument",
-    "log_normalizer",
-    "log_theta_normalizer",
-]
+from .scaling import Scaling
 
 # Direct summation keeps the q**(n*n) dynamic range inside doubles up to
 # this degree for q >= 0.2 and moderate |x|; beyond it use a normalized form.
@@ -220,11 +208,6 @@ def _parts(values) -> tuple:
     return np.array([v.real for v in values]), np.array([v.imag for v in values])
 
 
-def _may_vanish(prefix) -> bool:
-    """Whether a product of two weights can round to 0; each is >= (q;q)_inf^2 otherwise."""
-    return prefix[-1] * prefix[-1] == 0.0
-
-
 class _Rows:
     """The live rows of a vector pass: their output positions and per-row arrays.
 
@@ -297,13 +280,13 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
     rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array(k_breaks, dtype=np.int64),
                  b_re=b_re, b_im=b_im, bz_re=b_re * 0.0, bz_im=b_im * 0.0,
                  t_re=np.ones(size), t_im=np.zeros(size), s_re=np.zeros(size), s_im=np.zeros(size))
-    may_vanish = _may_vanish(prefix)
+    may_vanish = prefix[-1] ** 2 == 0.0   # else each weight product is >= (q;q)_inf^2 > 0
     qodd = qv
     k = 0
     while rows.pos.size:
         den = prefix[min(k, last)] * weights.take(rows.n - k, mode="clip")
         if may_vanish and not den.all():
-            raise ZeroDivisionError("complex division by zero")
+            raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0")
         a_re, a_im = _div_real(rows.t_re, rows.t_im, den)
         rows.s_re, rows.s_im = rows.s_re + a_re, rows.s_im + a_im
         # base * qodd, its two "* 0.0" products hoisted out of the loop
@@ -332,6 +315,10 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
         raise ZeroArgument("split evaluation requires z != 0")
     if min(ns, default=1) < 1:
         raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
+    prefix = _qq_prefix(qv)
+    qq2 = prefix[-1] ** 2
+    if qq2 == 0.0:   # else every weight product is >= qq2 > 0
+        raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_inf^2 underflows to 0")
     zc = complex(z)
     setups, w1, wide = [], [], []
     for i, n in enumerate(ns):
@@ -355,10 +342,8 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     w2 = [1.0 / w for w in w1]
     s1 = _wing_rows(n, half, half, -1, w1, [complex(1.0)] * size, qv, wide)
     s2 = _wing_rows(n, half, n - half, 1, w2, [w * qv for w in w2], qv**3, wide)
-    prefix = _qq_prefix(qv)
-    step = partial(_wing_step, weights=np.array(prefix), qq2=prefix[-1] ** 2,
-                   log_mag=math.log(max(abs(zc), 1.0 / abs(zc))), log_q=math.log(qv), qv=qv,
-                   any_wide=bool(wide.any()), may_vanish=_may_vanish(prefix))
+    step = partial(_wing_step, weights=np.array(prefix), qq2=qq2,
+                   log_mag=math.log(max(abs(zc), 1.0 / abs(zc))), log_q=math.log(qv), qv=qv, any_wide=bool(wide.any()))
     s1.retire(s1.k_end < 0)               # an empty range sums to 0
     step(s1, 0)
     s2.retire(s2.k_end < 1)
@@ -384,16 +369,12 @@ def _wing_rows(n, half, k_end, sign: int, w, term, qodd: float, wide) -> _Rows:
                  t_re=t_re, t_im=t_im, s_re=np.zeros(size), s_im=np.zeros(size))
 
 
-def _wing_step(rows: _Rows, k: int, weights, qq2: float, log_mag: float, log_q: float, qv: float,
-               any_wide: bool, may_vanish: bool) -> None:
+def _wing_step(rows: _Rows, k: int, weights, qq2: float, log_mag: float, log_q: float, qv: float, any_wide: bool) -> None:
     """Step k of the split sum's wing loop on every live row."""
     if not rows.pos.size:
         return
     j = rows.half + rows.sign * k
-    den = weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip")
-    if may_vanish and not den.all():
-        raise ZeroDivisionError("float division by zero")
-    ratio = qq2 / den
+    ratio = qq2 / (weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip"))
     assert 0.0 < ratio.min() and ratio.max() <= 1.0
     c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
     if any_wide:

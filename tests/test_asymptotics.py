@@ -2,12 +2,14 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swigert.asymptotics import (
+    _REGIMES,
     CaseParams,
     admissible_candidates,
     candidates_for_case,
@@ -65,10 +67,29 @@ class TestClassify:
             classify_case(Scaling.make("-5/2", "0"))
         with pytest.raises(UnsupportedScaling):
             classify_case(Scaling.make("-2", "0"))
+        with pytest.raises(UnsupportedScaling, match=r"^tau = -pi <= -2 is outside the supported regimes$"):
+            classify_case(Scaling.make("-pi", "1/4"))
 
     def test_rejects_ambiguous_zero(self):
         with pytest.raises(UnsupportedScaling):
             classify_case(Scaling(RealParam.irrational(0.0), RealParam.rational(0)))
+
+    # Scaling values by axis and tag: pinned axes take rationals, witness axes irrationals.
+    TAGGED = {
+        "-tau": {True: ("-1/2", "-3/2", "-0.25"), False: ("-sqrt2+1", "-phi", "-e+1")},
+        "theta": {True: ("0", "1/4", "2/3"), False: ("sqrt3-1", "pi", "-sqrt2")},
+    }
+
+    @pytest.mark.parametrize("case_id", sorted(_REGIMES))
+    def test_axis_tags_classify_to_their_regime(self, case_id):
+        axes = _REGIMES[case_id].axes
+        if not axes:   # the decaying regime: any tau > 0, either tag, and any theta
+            taus, thetas = ("1/2", "3", "sqrt2", "pi-3"), sum(self.TAGGED["theta"].values(), ())
+        else:
+            taus = self.TAGGED["-tau"][axes["-tau"]] if "-tau" in axes else ("0",)
+            thetas = self.TAGGED["theta"][axes["theta"]]
+        for tau, theta in product(taus, thetas):
+            assert classify_case(Scaling.make(tau, theta)) == case_id
 
 
 class TestCaseParams:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from swigert.asymptotics import candidates_for_case, error_bound, main_term, nu_n, verify
+from swigert.asymptotics import _PARAM_NAMES, CaseParams, candidates_for_case, error_bound, main_term, nu_n, verify
 from swigert.cli import SweepConfig, build_parser, main
 from swigert.diophantine import exact_residual
 from swigert.scaling import RealParam
@@ -165,6 +165,8 @@ class TestVerifyCmd:
         schema = json.loads(schema_path.read_text())
         required = set(schema["required"])
         assert required <= set(summary)
+        assert set(schema["properties"]) == set(summary)
+        assert set(schema["properties"]["params"]["properties"]) == set(summary["params"])
         types = {"integer": int, "number": (int, float), "boolean": bool, "object": dict}
         for key, field in schema["properties"].items():
             if key not in summary or summary[key] is None:
@@ -312,6 +314,13 @@ def test_verify_help_lists_every_flag(capsys):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert {flag for flags, _ in VERIFY_FLAGS.values() for flag in flags} <= set(re.findall(r"--?[\w-]+", out))
+
+
+def test_param_names_are_the_regime_fields():
+    case_fields = [f.name for f in dataclasses.fields(CaseParams)]
+    assert case_fields[:2] == ["case_id", "scaling"] and tuple(case_fields[2:]) == _PARAM_NAMES
+    sweep_regime_fields = [f.name for f in dataclasses.fields(SweepConfig) if f.name in case_fields[2:]]
+    assert tuple(sweep_regime_fields) == _PARAM_NAMES
 
 
 def assert_usage_error(code, err, *names):
@@ -554,6 +563,36 @@ def test_witness_report_bytes(capsys, tmp_path, case):
 @pytest.mark.parametrize("case", (4, 6))
 def test_report_bytes_with_two_jobs(capsys, tmp_path, case):
     assert report_digests(capsys, tmp_path, case, jobs=2) == REPORT_SHA256[case]
+
+
+# Sweeps and evaluations whose sums leave double range: q near 1 underflows (q;q)_inf, a huge
+# or tiny |z| overflows the terms.  Each exits 2 with the OutOfRange message, not a traceback.
+OUT_OF_DOUBLE_RANGE = [
+    (["verify", "--case", "4", "--q", "0.996", "--z-re", "1", "--tau", "-1/2", "--theta", "1/4",
+      "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "40"], "q = 0.996 is too close to 1"),
+    (["verify", "--case", "5", "--q", "0.999", "--z-re", "1", "--tau", "-1/2", "--theta", "sqrt2-1",
+      "--lambda", "1/2", "--beta", "0", "--rho", "1", "--nmax", "400"], "q = 0.999 is too close to 1"),
+    (["verify", "--case", "3", "--q", "0.999", "--z-re", "1", "--tau", "0", "--theta", "sqrt2",
+      "--beta", "0", "--rho", "1", "--nmax", "400"], "q = 0.999 is too close to 1"),
+    (["verify", "--case", "4", "--q", "0.5", "--z-re", "1e-7", "--tau", "-1/2", "--theta", "1/4",
+      "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "400"], "|z|=1e-07"),
+    (["eval", "Aq", "--z", "0.7", "--q", "0.999"], "q = 0.999 is too close to 1"),
+    (["eval", "theta_series", "--z", "1e7", "--q", "0.8"], "|z|=10000000.0"),
+    (["eval", "Bq", "--z", "1e8", "--q", "0.8"], "|w|=100000000.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_DOUBLE_RANGE)
+def test_out_of_double_range_exits_2(capsys, tmp_path, argv, message):
+    out = ["--out", str(tmp_path / "rows.csv")] if argv[0] == "verify" else []
+    code, _, err = run(capsys, *argv, *out)
+    assert_usage_error(code, err, message)
+
+
+def test_case1_near_q_one_still_runs(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "--case", "1", "--q", "0.998", "--z-re", "1", "--tau", "1/2",
+                       "--theta", "0", "--nmax", "40", "--out", str(tmp_path / "rows.csv"))
+    assert code == 0 and json.loads(out)["n_count"] == 40
 
 
 class TestSweepCmd:

@@ -161,3 +161,41 @@ class TestThetaProduct:
         with pytest.raises(ZeroArgument):
             theta_product(0.0, 0.5)
 
+
+# (z, q, tol) -> repr of the values A_q(z), B_q(|z|), theta(z), A_q'(z): a change that moves any bit of
+# a series value, or a new guard that refuses a point the loops used to sum, fails here.
+PINNED = [
+    (0.7, 0.5, 1e-12, ('(0.3796368929199827+0j)', '1.7837202598694675', '(2.228893296449649+0j)', '(-0.7753487311187709+0j)')),
+    ((1+0j), 0.5, 1e-13, ('(0.1607637889320948+0j)', '2.172668750849658', '(2.1289368272118736+0j)', '(-0.6843258965597608+0j)')),
+    ((2+1j), 0.3, 1e-09, ('(0.18094114662807448-0.3780571648709952j)', '2.0222493541006132', '(1.745311650747083+0.271318884042831j)', '(-0.3779937629681181+0.025050935626573546j)')),
+    ((-3.5+0.25j), 0.8, 1e-12, ('(646.155105501122-186.73861067950074j)', '675.4741523111522', '(-0.000592977858261269+0.00032430199837311485j)', '(-734.7703798505225+180.09037981338525j)')),
+    ((0.05-0.4j), 0.9, 1e-12, ('(-1.440296362797628-0.4178526290026197j)', '19.33486329888056', '(0.2700100694330048-0.012632484165806217j)', '(11.570387022677803-1.9963911130005205j)')),
+    (10.0, 0.2, 1e-14, ('(-1.2923386235185002+0j)', '3.709005462503888', '(3.1805280660483364+0j)', '(-0.20853491177303562+0j)')),
+    ((0.001+0.002j), 0.6, 1e-12, ('(0.9984984818023291-0.00299797489957653j)', '1.003356633777634', '(106271843.92099446-36470548.524435796j)', '(-1.498987048165443+0.002024397446264489j)')),
+    ((25-40j), 0.5, 1e-12, ('(276.0762190665997-56.2374828594467j)', '1313.1935746515612', '(-295.28447416065046-100.39246889277605j)', '(5.582788887453698+18.313513352814113j)')),
+    (0.7, 0.99, 1e-12, ('(-161716.57315235044+0j)', '4.840937454186607e+21', '(418.60852834246293+0j)', '(-8118680.215485656+0j)')),
+    (-1.5, 0.95, 1e-06, ('(21989730.0107271+0j)', '21989730.0107271', '(-1.0742711744823567e-07+0j)', '(-170730646.29324996+0j)')),
+    (10000.0, 0.1, 1e-12, ('(8990.899091020206+0j)', '13460.037162876803', '(12002.000020000007+0j)', '(1.796969848640392+0j)')),
+    ((0.3+0.9j), 0.7, 1e-15, ('(-0.5398090606373065-1.0912233502851507j)', '5.005603503458386', '(0.9920336556223446-0.09176648543125338j)', '(-0.6489872318009635+2.0979831659123356j)')),
+]
+
+
+@pytest.mark.parametrize("z,q,tol,expected", PINNED)
+def test_series_values_pinned(z, q, tol, expected):
+    values = (ramanujan_Aq(z, q, tol), Bq(abs(z), q, tol), theta_series(z, q, tol), Aq_derivative(z, q, tol))
+    assert tuple(repr(cv.value) for cv in values) == expected
+
+
+# Sums that leave double range raise OutOfRange naming the argument: (q;q)_inf underflowing to 0, a
+# power |z|^k overflowing, or terms summing to inf or nan although every power stayed finite.  The
+# CLI tests cover A_q, B_q and theta_series at the first two.
+@pytest.mark.parametrize("series,z,q,message", [
+    (Aq_derivative, 0.7, 0.999, r"q = 0\.999 is too close to 1"),
+    (Aq_derivative, 1e8, 0.8, r"\|z\|=100000000\.0, q=0\.8"),
+    (Bq, 2.5, 0.9983, r"\|w\|=2\.5, q=0\.9983"),
+    (ramanujan_Aq, 2.5, 0.9983, r"\|w\|=2\.5, q=0\.9983"),
+    (Aq_derivative, 2.5, 0.9983, r"\|z\|=2\.5, q=0\.9983"),
+])
+def test_out_of_double_range(series, z, q, message):
+    with pytest.raises(OutOfRange, match=message):
+        series(z, q)
