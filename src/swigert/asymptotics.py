@@ -18,6 +18,9 @@ irrational ones), the required parameters, the index source (a range, a
 lattice progression or a witness search), the admissible filter, the row
 witnesses, the kind of truncation depth nu_n and the main term; only the
 error budget keeps one formula per regime family, evaluated once per sweep.
+The functions below take a ``CaseParams`` and read the regime from its
+``case_id``, which the constructor checks against the scaling; no call
+names the case a second time.
 
 The asymptotic statements hold from some unquantified index onward;
 ``summarize_rows`` therefore reports the empirical n beyond which every
@@ -42,7 +45,7 @@ from .diophantine import (
     witness_search,
     witness_search_pair,
 )
-from .errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScaling
+from .errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScaling, ZeroArgument
 from .qcore import QParam, qpoch_infinite, qq_infinity
 from .qspecial import Bq, ramanujan_Aq, theta_series
 from .scaling import RealParam, Scaling
@@ -86,12 +89,6 @@ _REGIMES = {
 }
 
 
-def _regime(case_id: int) -> _Regime:
-    if case_id not in _REGIMES:
-        raise MissingParam(f"case_id must be 1..7, got {case_id}")
-    return _REGIMES[case_id]
-
-
 def _axis(scaling: Scaling, axis: str) -> Fraction:
     """Exact value of the orbit step theta or -tau."""
     return scaling.theta.exact if axis == "theta" else -scaling.tau.exact
@@ -119,7 +116,9 @@ class CaseParams:
     rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in _regime(self.case_id).required:
+        if self.case_id not in _REGIMES:
+            raise MissingParam(f"case_id must be 1..7, got {self.case_id}")
+        for name in _REGIMES[self.case_id].required:
             if getattr(self, name) is None:
                 raise MissingParam(f"case {self.case_id} requires parameter {name.rstrip('_')}")
         for name in ("lambda_", "lambda1"):
@@ -167,6 +166,7 @@ class VerificationSummary:
     n_last: int
     err_first: float
     err_last: float
+    n_count: int
 
 
 def classify_case(scaling: Scaling) -> int:
@@ -183,41 +183,50 @@ def classify_case(scaling: Scaling) -> int:
     return next(case_id for case_id, reg in _REGIMES.items() if reg.axes == tags)
 
 
-def nu_n(case_id: int, scaling: Scaling, n: int, q) -> int:
-    """Truncation depth of the bound for the given regime at index n.
+def nu_n(params: CaseParams, n: int, q) -> int:
+    """Truncation depth of the regime's bound at index n.
 
     Linear in n for the doubly rational strip regime, log^2 n for the
     regimes driven by a Diophantine witness, unused (0) otherwise.
     """
-    reg = _regime(case_id)
     qv = QParam.of(q).q
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    return _depths(reg, scaling, [n], qv)[0]
+    return _depths(params, [n], qv)[0]
 
 
 def _safe_exp(x: float) -> float:
     return math.exp(x) if x > -745.0 else 0.0
 
 
-def main_term(case_id: int, params: CaseParams, z, q, m: Optional[int] = None) -> complex:
+def main_term(params: CaseParams, z, q, m: Optional[int] = None) -> complex:
     """Predicted limit of the normalized value for the regime.
 
     The strip regimes (4..7) need the index-dependent integer m, since the
     parity chi(m) shifts the theta argument; the verifier supplies it per n.
     """
     qv = QParam.of(q).q
-    zc = complex(z)
-    targets = [float(getattr(params, name)) for name in _regime(case_id).targets]
+    zc = _checked_z(z)
+    targets = [float(getattr(params, name)) for name in _REGIMES[params.case_id].targets]
     if not targets:
         return complex(1.0)
     if len(targets) == 1:
         return ramanujan_Aq(_exp_2pii(targets[0]) / zc, qv, _CONST_TOL).value
     if m is None:
-        raise MissingParam(f"case {case_id} main term needs the integer m for chi(m)")
+        raise MissingParam(f"case {params.case_id} main term needs the integer m for chi(m)")
     u, v = targets
     w = -zc * qv ** (chi(m) + u) * _exp_2pii(-v)
     return theta_series(w, qv, _CONST_TOL).value
+
+
+def _checked_z(z, nonzero: bool = True) -> complex:
+    """z as a complex number, rejected unless finite and, by default, nonzero."""
+    zc = complex(z)
+    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+        raise OutOfRange(f"z must be finite, got {zc!r}")
+    if nonzero and zc == 0:
+        raise ZeroArgument("the main term and the error budget require z != 0")
+    return zc
 
 
 def _exp_2pii(t: float) -> complex:
@@ -225,7 +234,7 @@ def _exp_2pii(t: float) -> complex:
     return cmath.exp(complex(0.0, 2.0 * math.pi * t))
 
 
-def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
+def error_bound(params: CaseParams, n: int, z, q) -> float:
     """Explicit error budget of the regime at index n.
 
     Constants are evaluated at tolerance 1e-13, once per call here and once
@@ -242,11 +251,12 @@ def error_bound(case_id: int, params: CaseParams, n: int, z, q) -> float:
     rather than truncation error.
     """
     qv = QParam.of(q).q
-    return _budgets(case_id, params, [n], [nu_n(case_id, params.scaling, n, qv)], z, qv)[0]
+    return _budgets(params, [n], [nu_n(params, n, qv)], _checked_z(z), qv)[0]
 
 
-def _budgets(case_id: int, params: CaseParams, ns: Sequence[int], nus: Sequence[int], z, q: float) -> list[float]:
+def _budgets(params: CaseParams, ns: Sequence[int], nus: Sequence[int], z, q: float) -> list[float]:
     """``error_bound`` at the indices ns and depths nus, with the constants evaluated once."""
+    case_id = params.case_id
     az = abs(complex(z))
     lnq = math.log(q)
     if case_id == 1:
@@ -270,28 +280,29 @@ def _budgets(case_id: int, params: CaseParams, ns: Sequence[int], nus: Sequence[
     return [54.0 * coeff * (grow + shrink + math.log(n) ** 2 / n**params.rho) for n, (grow, shrink) in zip(ns, wings)]
 
 
-def _depths(reg: _Regime, scaling: Scaling, ns: Sequence[int], q: float) -> list[int]:
-    """``nu_n`` at the indices ns, for a checked regime, q in (0, 1) and n >= 1."""
+def _depths(params: CaseParams, ns: Sequence[int], q: float) -> list[int]:
+    """``nu_n`` at the indices ns, for q in (0, 1) and n >= 1."""
+    reg = _REGIMES[params.case_id]
     if reg.witnesses:
         return [math.floor(q**4 * math.log(n) ** 2 / (1.0 + math.log(1.0 / q))) for n in ns]
     if len(reg.targets) == 2:
-        p, r = scaling.tau.fraction.as_integer_ratio()
+        p, r = params.scaling.tau.fraction.as_integer_ratio()
         return [min((2 * r + p) * n // (8 * r), -p * n // (8 * r)) for n in ns]
     return [0] * len(ns)
 
 
-def admissible_candidates(case_id: int, params: CaseParams, ns: Sequence[int]) -> list[int]:
+def admissible_candidates(params: CaseParams, ns: Sequence[int]) -> list[int]:
     """Filter a candidate list down to the indices the regime statement covers.
 
     Lattice pins keep n on the progression ``candidates_for_case`` draws from
     (none if the targets are never attained together); witness conditions
     accept what the searches produced.
     """
-    prog = lattice_progression(_pins(_regime(case_id), params))
+    prog = lattice_progression(_pins(_REGIMES[params.case_id], params))
     return sorted({int(n) for n in ns if prog and n >= 1 and n % prog[0] == prog[1]})
 
 
-def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[int]) -> list[CaseVerificationRow]:
+def _rows(params: CaseParams, z: complex, q: float, ns: Sequence[int]) -> list[CaseVerificationRow]:
     """Verification rows at the indices ns: exact value, main term, error, bound.
 
     The normalized values of all rows come from one batch kernel call; a
@@ -302,7 +313,7 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
     the first witness axis; when that axis is -tau its integer part is the
     m of the split evaluation.
     """
-    reg = _regime(case_id)
+    reg = _REGIMES[params.case_id]
     sc = params.scaling
     witnesses = [None] * len(ns)
     ms = None
@@ -318,14 +329,14 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
     if len(reg.targets) == 2:
         splits = _split_sums(ns, ms, z, sc, q)
         lhss = [split.value for split in splits]
-        by_parity = {c: main_term(case_id, params, z, q, m=c) for c in {split.chi_m for split in splits}}
+        by_parity = {c: main_term(params, z, q, m=c) for c in {split.chi_m for split in splits}}
         mains = [by_parity[split.chi_m] for split in splits]
     else:
         qq_inf = qq_infinity(q)
         lhss = [value * qq_inf for value in _reversed_sums(ns, z, sc, q)]
-        mains = [main_term(case_id, params, z, q)] * len(ns)
-    nus = _depths(reg, sc, ns, q)
-    bounds = _budgets(case_id, params, ns, nus, z, q)
+        mains = [main_term(params, z, q)] * len(ns)
+    nus = _depths(params, ns, q)
+    bounds = _budgets(params, ns, nus, z, q)
     rows = []
     for n, lhs, main, bound, nu, witness in zip(ns, lhss, mains, bounds, nus, witnesses):
         err = abs(lhs - main)
@@ -334,14 +345,7 @@ def _rows(case_id: int, params: CaseParams, z: complex, q: float, ns: Sequence[i
     return rows
 
 
-def verify(
-    case_id: int,
-    params: CaseParams,
-    z,
-    q,
-    n_candidates: Sequence[int],
-    jobs: int = 1,
-) -> list[CaseVerificationRow]:
+def verify(params: CaseParams, z, q, n_candidates: Sequence[int], jobs: int = 1) -> list[CaseVerificationRow]:
     """Verification rows over the admissible subset of the candidates.
 
     All rows are evaluated in one batch (see ``_rows``).  ``jobs > 1`` splits
@@ -349,30 +353,20 @@ def verify(
     process and joins them in n-order; rows are independent, so parallel and
     serial runs produce identical output.
     """
-    if params.case_id != case_id:
-        raise MissingParam(f"case_id {case_id} does not match params.case_id {params.case_id}")
-    zc = complex(z)
-    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-        raise OutOfRange(f"z must be finite, got {zc!r}")
-    ns = admissible_candidates(case_id, params, list(n_candidates))
+    zc = _checked_z(z, nonzero=False)   # the kernels name a zero z themselves
+    ns = admissible_candidates(params, list(n_candidates))
     if not ns:
-        raise EmptyCandidates(f"no admissible indices for case {case_id}")
+        raise EmptyCandidates(f"no admissible indices for case {params.case_id}")
     qv = QParam.of(q).q
     if jobs <= 1:
-        return _rows(case_id, params, zc, qv, ns)
+        return _rows(params, zc, qv, ns)
     chunks = [ns[i * len(ns) // jobs:(i + 1) * len(ns) // jobs] for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_rows, repeat(case_id), repeat(params), repeat(zc), repeat(qv), [c for c in chunks if c])
+        parts = pool.map(_rows, repeat(params), repeat(zc), repeat(qv), [c for c in chunks if c])
         return [row for part in parts for row in part]
 
 
-def candidates_for_case(
-    case_id: int,
-    params: CaseParams,
-    n_min: int,
-    n_max: int,
-    n_step: int = 1,
-) -> list[int]:
+def candidates_for_case(params: CaseParams, n_min: int, n_max: int, n_step: int = 1) -> list[int]:
     """Generate the index source the regime calls for, clipped to [n_min, n_max].
 
     Plain ranges for the decaying regime, lattice progressions for the
@@ -383,7 +377,7 @@ def candidates_for_case(
         raise EmptyCandidates(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     if n_step < 1:
         raise OutOfRange(f"n_step must be >= 1, got {n_step}")
-    reg = _regime(case_id)
+    reg = _REGIMES[params.case_id]
     if reg.witnesses:
         steps = [float(_axis(params.scaling, axis)) for axis, _ in reg.witnesses]
         betas = [getattr(params, name) for _, name in reg.witnesses]
@@ -395,7 +389,7 @@ def candidates_for_case(
     elif reg.pins:
         prog = lattice_progression(_pins(reg, params))
         if prog is None:
-            raise EmptyCandidates(f"the case-{case_id} targets are not attained together on this lattice")
+            raise EmptyCandidates(f"the case-{params.case_id} targets are not attained together on this lattice")
         mod, residue = prog
         ns = range(n_min + (residue - n_min) % mod, n_max + 1, mod)
     else:
@@ -421,4 +415,5 @@ def summarize_rows(rows: Sequence[CaseVerificationRow]) -> VerificationSummary:
         n_last=rows[-1].n,
         err_first=rows[0].abs_err,
         err_last=rows[-1].abs_err,
+        n_count=len(rows),
     )

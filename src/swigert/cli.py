@@ -166,12 +166,12 @@ def _cmd_witness(args) -> int:
 def _run_sweep(config: SweepConfig) -> int:
     params = config.case_params()
     z = complex(config.z_re, config.z_im)
-    ns = candidates_for_case(config.case_id, params, config.n_min, config.n_max, config.n_step)
-    rows = verify(config.case_id, params, z, config.q, ns, jobs=config.jobs)
+    ns = candidates_for_case(params, config.n_min, config.n_max, config.n_step)
+    rows = verify(params, z, config.q, ns, jobs=config.jobs)
     summary = summarize_rows(rows)
     body = rows_to_json(rows) if config.format == "json" else rows_to_csv(rows)
     _write_text(config.out, body)
-    summary_text = summary_to_json(params, z, config.q, summary, n_count=len(rows))
+    summary_text = summary_to_json(params, z, config.q, summary)
     _write_text(_summary_path(config.out), summary_text)
     sys.stdout.write(summary_text)
     return 0 if summary.all_within_after_n_min else 1

@@ -12,7 +12,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .asymptotics import _PARAM_NAMES, CaseParams, CaseVerificationRow, VerificationSummary
 from .diophantine import DiophantineWitness, PairedWitness
@@ -80,17 +80,6 @@ def params_payload(params: CaseParams, z: complex, q: float) -> dict:
     return payload
 
 
-def summary_to_json(
-    params: CaseParams,
-    z: complex,
-    q: float,
-    summary: VerificationSummary,
-    n_count: Optional[int] = None,
-) -> str:
-    payload = {
-        "case": params.case_id,
-        "params": params_payload(params, z, q),
-        **dataclasses.asdict(summary),
-        "n_count": n_count,
-    }
+def summary_to_json(params: CaseParams, z: complex, q: float, summary: VerificationSummary) -> str:
+    payload = {"case": params.case_id, "params": params_payload(params, z, q), **dataclasses.asdict(summary)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

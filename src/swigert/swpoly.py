@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -280,21 +281,25 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
     rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array(k_breaks, dtype=np.int64),
                  b_re=b_re, b_im=b_im, bz_re=b_re * 0.0, bz_im=b_im * 0.0,
                  t_re=np.ones(size), t_im=np.zeros(size), s_re=np.zeros(size), s_im=np.zeros(size))
-    may_vanish = prefix[-1] ** 2 == 0.0   # else each weight product is >= (q;q)_inf^2 > 0
+    # Each weight product is >= (q;q)_inf^2; where that underflows to 0, a product may
+    # vanish or be subnormal, and the first non-finite step raises instead of warning.
+    may_vanish = prefix[-1] ** 2 == 0.0
     qodd = qv
     k = 0
-    while rows.pos.size:
-        den = prefix[min(k, last)] * weights.take(rows.n - k, mode="clip")
-        if may_vanish and not den.all():
-            raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0")
-        a_re, a_im = _div_real(rows.t_re, rows.t_im, den)
-        rows.s_re, rows.s_im = rows.s_re + a_re, rows.s_im + a_im
-        # base * qodd, its two "* 0.0" products hoisted out of the loop
-        bq_re, bq_im = rows.b_re * qodd - rows.bz_im, rows.bz_re + rows.b_im * qodd
-        rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, bq_re, bq_im)
-        qodd *= qv * qv
-        rows.retire((rows.n <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
-        k += 1
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise") if may_vanish else nullcontext():
+            while rows.pos.size:
+                den = prefix[min(k, last)] * weights.take(rows.n - k, mode="clip")
+                a_re, a_im = _div_real(rows.t_re, rows.t_im, den)
+                rows.s_re, rows.s_im = rows.s_re + a_re, rows.s_im + a_im
+                # base * qodd, its two "* 0.0" products hoisted out of the loop
+                bq_re, bq_im = rows.b_re * qodd - rows.bz_im, rows.bz_re + rows.b_im * qodd
+                rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, bq_re, bq_im)
+                qodd *= qv * qv
+                rows.retire((rows.n <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
+                k += 1
+    except FloatingPointError:
+        raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0") from None
     return rows.sums()
 
 

@@ -143,7 +143,7 @@ def test_criterion_04_three_way_oracle_equivalence():
 def test_criterion_05_decaying_regime_sweep():
     t0 = time.perf_counter()
     params = CaseParams(1, Scaling.make("1", "3/10"))
-    rows = verify(1, params, 1.0, 0.5, range(5, 41))
+    rows = verify(params, 1.0, 0.5, range(5, 41))
     elapsed = time.perf_counter() - t0
     violations = [r.n for r in rows if not r.within]
     ratio = rows[-1].abs_err / rows[0].abs_err
@@ -163,8 +163,8 @@ def test_criterion_05_decaying_regime_sweep():
 
 def test_criterion_06_boundary_rational_sweep():
     params = CaseParams(2, Scaling.make("0", "1/3"), lambda_=Fraction(1, 3))
-    ns = candidates_for_case(2, params, 1, 61)
-    rows = verify(2, params, 2.0, 0.5, ns)
+    ns = candidates_for_case(params, 1, 61)
+    rows = verify(params, 2.0, 0.5, ns)
     summary = summarize_rows(rows)
     decay = rows[0].abs_err / rows[-1].abs_err
     ok = (
@@ -182,8 +182,8 @@ def test_criterion_06_boundary_rational_sweep():
 def test_criterion_07_strip_rational_sweep():
     t0 = time.perf_counter()
     params = CaseParams(4, Scaling.make("-1/2", "1/4"), lambda_=Fraction(1, 2), lambda1=Fraction(1, 4))
-    ns = candidates_for_case(4, params, 1, 201)
-    rows = verify(4, params, 1.0 + 0.5j, 0.5, ns)
+    ns = candidates_for_case(params, 1, 201)
+    rows = verify(params, 1.0 + 0.5j, 0.5, ns)
     elapsed = time.perf_counter() - t0
     deep = [r for r in rows if r.nu_n >= 2]
     violations = [r.n for r in deep if not r.within]
@@ -196,9 +196,9 @@ def test_criterion_07_strip_rational_sweep():
     assert ok
 
 
-def _run_strip_case(case_id, params, z, q, n_max):
-    ns = candidates_for_case(case_id, params, 1, n_max)
-    rows = verify(case_id, params, z, q, ns)
+def _run_strip_case(params, z, q, n_max):
+    ns = candidates_for_case(params, 1, n_max)
+    rows = verify(params, z, q, ns)
     decay = rows[0].abs_err / rows[-1].abs_err
     violations = [r.n for r in rows if not r.within]
     return rows, violations, decay
@@ -210,7 +210,7 @@ def test_criterion_08_witness_driven_sweeps():
     results = {}
 
     p3 = CaseParams(3, Scaling.make("0", "sqrt2-1"), beta=0.0, rho=0.9)
-    rows3, v3, d3 = _run_strip_case(3, p3, 2.0, q, 10**5)
+    rows3, v3, d3 = _run_strip_case(p3, 2.0, q, 10**5)
     results["case3"] = (len(rows3), v3, d3)
 
     # normalization evidence: dropping the infinite-product factor must leave
@@ -221,15 +221,15 @@ def test_criterion_08_witness_driven_sweeps():
     factor_evidence = nofactor_last > 0.25 * nofactor_first and nofactor_last > 100.0 * rows3[-1].abs_err
 
     p5 = CaseParams(5, Scaling.make("-1/2", "sqrt3-1"), lambda_=Fraction(1, 2), beta=0.0, rho=0.9)
-    rows5, v5, d5 = _run_strip_case(5, p5, 1.0 + 0.5j, q, 10**5)
+    rows5, v5, d5 = _run_strip_case(p5, 1.0 + 0.5j, q, 10**5)
     results["case5"] = (len(rows5), v5, d5)
 
     p6 = CaseParams(6, Scaling.make("-sqrt2+1", "1/4"), lambda_=Fraction(1, 4), beta=0.0, rho=0.9)
-    rows6, v6, d6 = _run_strip_case(6, p6, 1.0 + 0.5j, q, 10**5)
+    rows6, v6, d6 = _run_strip_case(p6, 1.0 + 0.5j, q, 10**5)
     results["case6"] = (len(rows6), v6, d6)
 
     p7 = CaseParams(7, Scaling.make("-sqrt2+1", "sqrt3-1"), beta1=0.0, beta2=0.0, rho=0.3)
-    rows7, v7, d7 = _run_strip_case(7, p7, 1.0 + 0.5j, q, 10**5)
+    rows7, v7, d7 = _run_strip_case(p7, 1.0 + 0.5j, q, 10**5)
     results["case7"] = (len(rows7), v7, d7)
 
     elapsed = time.perf_counter() - t0

@@ -475,7 +475,7 @@ def test_witness_rows_split_theta_exactly(case):
     params = config.case_params()
     sc, z = params.scaling, complex(config.z_re, config.z_im)
     theta = Fraction(sc.theta.value)
-    ns = candidates_for_case(case, params, config.n_min, config.n_max)
+    ns = candidates_for_case(params, config.n_min, config.n_max)
     assert ns
     for n in ns:
         d = sc.theta_frac(n) if case == 3 else sw_theta_normalized(n, z, sc, config.q).d_n
@@ -487,7 +487,7 @@ def test_public_names_equal_the_rows(case):
     """main_term, error_bound and nu_n at one row give that row's main, bound and nu_n exactly."""
     config = SweepConfig.from_dict({"case_id": case, "q": 0.5, "z_re": 1.0, "z_im": 0.5, **SEVEN_CASES[case]})
     params, z, q = config.case_params(), complex(config.z_re, config.z_im), config.q
-    rows = verify(case, params, z, q, candidates_for_case(case, params, config.n_min, config.n_max))
+    rows = verify(params, z, q, candidates_for_case(params, config.n_min, config.n_max))
     assert rows
     for row in rows:
         m = None
@@ -495,9 +495,9 @@ def test_public_names_equal_the_rows(case):
             m = params.scaling.minus_tau_split(row.n)[0]
         elif case in (6, 7):
             m = row.witness.m
-        assert main_term(case, params, z, q, m=m) == row.main
-        assert error_bound(case, params, row.n, z, q) == row.bound
-        assert nu_n(case, params.scaling, row.n, q) == row.nu_n
+        assert main_term(params, z, q, m=m) == row.main
+        assert error_bound(params, row.n, z, q) == row.bound
+        assert nu_n(params, row.n, q) == row.nu_n
 
 
 def test_readme_quick_start_values_agree(capsys):
@@ -587,6 +587,7 @@ def test_out_of_double_range_exits_2(capsys, tmp_path, argv, message):
     out = ["--out", str(tmp_path / "rows.csv")] if argv[0] == "verify" else []
     code, _, err = run(capsys, *argv, *out)
     assert_usage_error(code, err, message)
+    assert "Warning" not in err
 
 
 def test_case1_near_q_one_still_runs(capsys, tmp_path):
