@@ -149,6 +149,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.beta2 is not None and args.theta2 is None:
+        raise SwigertError("--beta2 needs --theta2: it is the second target of a paired search")
     theta = RealParam.parse(args.theta).value
     if args.theta2 is not None:
         theta2 = RealParam.parse(args.theta2).value

@@ -146,11 +146,15 @@ def _ladder(theta: float, rho: float, n_max: int) -> list[int]:
     return sorted(out)
 
 
-def _check_search_args(rho: float, n_max: int) -> None:
+def _check_search_args(rho: float, n_max: int, **reals: float) -> None:
+    """Refuse a search outside its domain; ``reals`` are the named thetas and betas, which must be finite."""
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     if n_max > _SCAN_CAP:
         raise OutOfRange(f"n_max capped at {_SCAN_CAP} for exhaustive scans")
+    for name, value in dict(reals, rho=rho).items():
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value!r}")
     if rho <= 0.0:
         raise OutOfRange(f"rho must be > 0, got {rho!r}")
 
@@ -161,8 +165,8 @@ def witness_search(theta: float, beta: float, rho: float, n_max: int) -> list[Di
     Homogeneous targets at rho >= 1 take their candidates from the
     continued-fraction ladder of theta; every other input scans all indices.
     """
-    _check_search_args(rho, n_max)
     theta, beta = float(theta), float(beta)
+    _check_search_args(rho, n_max, theta=theta, beta=beta)
     if beta == 0.0 and rho >= 1.0:
         candidates = _ladder(theta, rho, n_max)
     else:
@@ -185,7 +189,7 @@ def witness_search_pair(
     n_max: int,
 ) -> list[PairedWitness]:
     """All n <= n_max satisfying both approximation inequalities at quality rho."""
-    _check_search_args(rho, n_max)
+    _check_search_args(rho, n_max, theta1=theta1, theta2=theta2, beta1=beta1, beta2=beta2)
     c1 = set(_scan_prefilter(float(theta1), float(beta1), rho, n_max).tolist())
     c2 = set(_scan_prefilter(float(theta2), float(beta2), rho, n_max).tolist())
     out = []

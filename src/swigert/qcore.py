@@ -140,12 +140,15 @@ def qpoch_infinite(a, q, tol: float) -> CertifiedValue:
     |a|, in which the bound is monotone.
 
     Raises NonConvergent if the certificate cannot be met within the hard
-    iteration cap, which signals |a| far too large for double precision.
+    iteration cap, which signals |a| far too large for double precision,
+    and at once for a non-finite |a|.
     """
     qv = QParam.of(q).q
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise OutOfRange(f"tol must be > 0, got {tol!r}")
     a_abs = abs(a)
+    if not math.isfinite(a_abs):   # the growth constant below would never saturate
+        raise NonConvergent(f"no certified truncation point for |a|={a_abs!r}, q={qv!r}, tol={tol!r}")
     growth = _abs_aq2_constant(a_abs, qv)
     p = complex(1.0) if isinstance(a, complex) else 1.0
     qn = 1.0

@@ -3,12 +3,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import swigert
 from swigert.asymptotics import _PARAM_NAMES, CaseParams, candidates_for_case, error_bound, main_term, nu_n, verify
 from swigert.cli import SweepConfig, build_parser, main
 from swigert.diophantine import exact_residual
@@ -70,6 +74,28 @@ class TestEval:
         assert run(capsys, "eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--n", "3")[1] == \
             run(capsys, "eval", "qpoch", "--a", "0.5", "--q", "0.5", "--n", "3")[1]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["Aq", "--z", "0.5", "--q", "0.5", "--tol", "nan"], "tol must be > 0, got nan"),
+        (["qpoch", "--a", "0.5", "--q", "0.5", "--n", "inf", "--tol", "nan"], "tol must be > 0, got nan"),
+        (["Aq", "--z", "nan", "--q", "0.5"], "series argument must be finite, got |w|=nan"),
+        (["theta_series", "--z", "nan", "--q", "0.5"], "theta series argument must be finite, got |z|=nan"),
+    ])
+    def test_nan_input_exits_2(self, capsys, argv, message):
+        assert_usage_error(*run(capsys, "eval", *argv)[::2], message)
+
+
+# Each once looped forever on an infinite |a| (the last one's -q/z overflows): run in a child with a timeout.
+@pytest.mark.parametrize("argv", [
+    ["qpoch", "--a", "inf", "--q", "0.5", "--n", "inf"],
+    ["theta_product", "--z", "inf", "--q", "0.5"],
+    ["theta_product", "--z", "1e-320", "--q", "0.5"],
+])
+def test_infinite_product_argument_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(swigert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "swigert", "eval", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert_usage_error(proc.returncode, proc.stderr, "no certified truncation point for |a|=inf")
+
 
 class TestWitnessCmd:
     def test_sqrt2_table(self, capsys):
@@ -111,6 +137,18 @@ class TestWitnessCmd:
         with pytest.raises(SystemExit) as exc:
             main(["witness", "--theta", "sqrt2", "--rho", "1", "--nmax", "100", "--method", "cf"])
         assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--rho", "nan"], "rho must be finite, got nan"),
+        (["--rho", "1", "--beta", "inf"], "beta must be finite, got inf"),
+        (["--rho", "0.5", "--beta", "nan"], "beta must be finite, got nan"),
+        (["--rho", "0.5", "--theta2", "sqrt3", "--beta2", "-inf"], "beta2 must be finite, got -inf"),
+        (["--rho", "1", "--beta2", "0.25"], "--beta2 needs --theta2"),
+    ])
+    def test_bad_search_input_exits_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "witness", "--theta", "sqrt2", "--nmax", "50", *flags)
+        assert_usage_error(code, err, message)
+        assert out == ""
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "w.csv"

@@ -189,6 +189,20 @@ class TestWitnessSearch:
         with pytest.raises(OutOfRange):
             witness_search(SQRT2, 0.0, -1.0, 10)
 
+    @pytest.mark.parametrize("name,theta,beta,rho", [
+        ("rho", SQRT2, 0.0, math.nan),      # 1.0 ** nan == 1.0 would make n = 1 a witness
+        ("rho", SQRT2, 0.0, math.inf),
+        ("beta", SQRT2, math.inf, 1.0),
+        ("beta", SQRT2, math.nan, 0.5),
+        ("theta", math.nan, 0.0, 1.0),
+    ])
+    def test_non_finite_arguments(self, name, theta, beta, rho):
+        for search in (lambda: witness_search(theta, beta, rho, 50),
+                       lambda: witness_search_pair(theta, SQRT2 - 1.0, beta, 0.0, rho, 50),
+                       lambda: witness_search_pair(SQRT2 - 1.0, theta, 0.0, beta, rho, 50)):
+            with pytest.raises(OutOfRange, match=f"{name}.* must be finite"):
+                search()
+
     def test_chebyshev_quality_counts(self):
         # For every offset target, the orbit of sqrt(2) delivers witnesses of
         # quality 3/n in abundance at desk scale.

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -107,6 +108,9 @@ class TestQpochInfinite:
     def test_bad_tolerance(self):
         with pytest.raises(OutOfRange):
             qpoch_infinite(0.5, 0.5, 0.0)
+        # a NaN tol is refused at entry, not after the factor cap
+        with pytest.raises(OutOfRange, match="tol must be > 0, got nan"):
+            qpoch_infinite(0.5, 0.5, math.nan)
 
 
 class TestPochTailRemainders:

@@ -162,28 +162,62 @@ class TestThetaProduct:
             theta_product(0.0, 0.5)
 
 
-# (z, q, tol) -> repr of the values A_q(z), B_q(|z|), theta(z), A_q'(z): a change that moves any bit of
-# a series value, or a new guard that refuses a point the loops used to sum, fails here.
+# (z, q, tol) -> repr of the values, then of the tail bounds, of A_q(z), B_q(|z|), theta(z), A_q'(z): a change
+# that moves any bit of a series value or of its certificate, or a new guard that refuses a point the loops
+# used to sum, fails here.
 PINNED = [
-    (0.7, 0.5, 1e-12, ('(0.3796368929199827+0j)', '1.7837202598694675', '(2.228893296449649+0j)', '(-0.7753487311187709+0j)')),
-    ((1+0j), 0.5, 1e-13, ('(0.1607637889320948+0j)', '2.172668750849658', '(2.1289368272118736+0j)', '(-0.6843258965597608+0j)')),
-    ((2+1j), 0.3, 1e-09, ('(0.18094114662807448-0.3780571648709952j)', '2.0222493541006132', '(1.745311650747083+0.271318884042831j)', '(-0.3779937629681181+0.025050935626573546j)')),
-    ((-3.5+0.25j), 0.8, 1e-12, ('(646.155105501122-186.73861067950074j)', '675.4741523111522', '(-0.000592977858261269+0.00032430199837311485j)', '(-734.7703798505225+180.09037981338525j)')),
-    ((0.05-0.4j), 0.9, 1e-12, ('(-1.440296362797628-0.4178526290026197j)', '19.33486329888056', '(0.2700100694330048-0.012632484165806217j)', '(11.570387022677803-1.9963911130005205j)')),
-    (10.0, 0.2, 1e-14, ('(-1.2923386235185002+0j)', '3.709005462503888', '(3.1805280660483364+0j)', '(-0.20853491177303562+0j)')),
-    ((0.001+0.002j), 0.6, 1e-12, ('(0.9984984818023291-0.00299797489957653j)', '1.003356633777634', '(106271843.92099446-36470548.524435796j)', '(-1.498987048165443+0.002024397446264489j)')),
-    ((25-40j), 0.5, 1e-12, ('(276.0762190665997-56.2374828594467j)', '1313.1935746515612', '(-295.28447416065046-100.39246889277605j)', '(5.582788887453698+18.313513352814113j)')),
-    (0.7, 0.99, 1e-12, ('(-161716.57315235044+0j)', '4.840937454186607e+21', '(418.60852834246293+0j)', '(-8118680.215485656+0j)')),
-    (-1.5, 0.95, 1e-06, ('(21989730.0107271+0j)', '21989730.0107271', '(-1.0742711744823567e-07+0j)', '(-170730646.29324996+0j)')),
-    (10000.0, 0.1, 1e-12, ('(8990.899091020206+0j)', '13460.037162876803', '(12002.000020000007+0j)', '(1.796969848640392+0j)')),
-    ((0.3+0.9j), 0.7, 1e-15, ('(-0.5398090606373065-1.0912233502851507j)', '5.005603503458386', '(0.9920336556223446-0.09176648543125338j)', '(-0.6489872318009635+2.0979831659123356j)')),
+    (0.7, 0.5, 1e-12,
+     (('(0.3796368929199827+0j)', '1.7837202598694675', '(2.228893296449649+0j)', '(-0.7753487311187709+0j)'),
+      ('5.065781855963983e-16', '5.065781855963983e-16', '4.3141263681167e-14', '5.065890077363189e-15'))),
+    ((1+0j), 0.5, 1e-13,
+     (('(0.1607637889320948+0j)', '2.172668750849658', '(2.1289368272118736+0j)', '(-0.6843258965597608+0j)'),
+      ('6.1512613621844365e-15', '6.1512613621844365e-15', '3.552822102326573e-15', '4.306014366669359e-14'))),
+    ((2+1j), 0.3, 1e-09,
+     (('(0.18094114662807448-0.3780571648709952j)', '2.0222493541006132', '(1.745311650747083+0.271318884042831j)',
+       '(-0.3779937629681181+0.025050935626573546j)'),
+      ('7.731201094012084e-12', '7.731201094012084e-12', '9.473012160186551e-12', '1.7287559672428263e-11'))),
+    ((-3.5+0.25j), 0.8, 1e-12,
+     (('(646.155105501122-186.73861067950074j)', '675.4741523111522', '(-0.000592977858261269+0.00032430199837311485j)',
+       '(-734.7703798505225+180.09037981338525j)'),
+      ('2.4400613435053273e-14', '2.4400613435053273e-14', '4.735716811203588e-14', '1.115107476299343e-13'))),
+    ((0.05-0.4j), 0.9, 1e-12,
+     (('(-1.440296362797628-0.4178526290026197j)', '19.33486329888056', '(0.2700100694330048-0.012632484165806217j)',
+       '(11.570387022677803-1.9963911130005205j)'),
+      ('7.397581951942414e-13', '7.397581951942414e-13', '6.990752451766844e-14', '3.9169814203282674e-13'))),
+    (10.0, 0.2, 1e-14,
+     (('(-1.2923386235185002+0j)', '3.709005462503888', '(3.1805280660483364+0j)', '(-0.20853491177303562+0j)'),
+      ('9.038078808671698e-20', '9.038078808671698e-20', '1.3743895459790037e-19', '5.422847329626985e-20'))),
+    ((0.001+0.002j), 0.6, 1e-12,
+     (('(0.9984984818023291-0.00299797489957653j)', '1.003356633777634', '(106271843.92099446-36470548.524435796j)',
+       '(-1.498987048165443+0.002024397446264489j)'),
+      ('4.9279350637516725e-14', '4.9279350637516725e-14', '8.24136850779992e-15', '2.483095906227788e-15'))),
+    ((25-40j), 0.5, 1e-12,
+     (('(276.0762190665997-56.2374828594467j)', '1313.1935746515612', '(-295.28447416065046-100.39246889277605j)',
+       '(5.582788887453698+18.313513352814113j)'),
+      ('1.489638857943159e-13', '1.489638857943159e-13', '8.603799363039133e-14', '3.158099097501141e-14'))),
+    # Its A_q and A_q' values are sums that cancellation has destroyed, pinned as regression bits only: by
+    # mpmath A_q(0.7; 0.99) is -9.52e-35 (largest term 3.9e20) and A_q' is -4.23e-33 (largest term 2.2e22).
+    # The tail bounds truncation, not roundoff.
+    (0.7, 0.99, 1e-12,
+     (('(-161716.57315235044+0j)', '4.840937454186607e+21', '(418.60852834246293+0j)', '(-8118680.215485656+0j)'),
+      ('1.152472009528978e-13', '1.152472009528978e-13', '3.386989518112528e-13', '7.822555213780499e-14'))),
+    (-1.5, 0.95, 1e-06,
+     (('(21989730.0107271+0j)', '21989730.0107271', '(-1.0742711744823567e-07+0j)', '(-170730646.29324996+0j)'),
+      ('1.372180637344497e-07', '1.372180637344497e-07', '2.906798668130017e-07', '1.447528356721099e-07'))),
+    (10000.0, 0.1, 1e-12,
+     (('(8990.899091020206+0j)', '13460.037162876803', '(12002.000020000007+0j)', '(1.796969848640392+0j)'),
+      ('1.1235827548610168e-21', '1.1235827548610168e-21', '2.0000000000200088e-21', '6.741496542581671e-16'))),
+    ((0.3+0.9j), 0.7, 1e-15,
+     (('(-0.5398090606373065-1.0912233502851507j)', '5.005603503458386', '(0.9920336556223446-0.09176648543125338j)',
+       '(-0.6489872318009635+2.0979831659123356j)'),
+      ('2.3922461503902666e-18', '2.3922461503902666e-18', '6.451851220303521e-19', '2.774534313070207e-17'))),
 ]
 
 
 @pytest.mark.parametrize("z,q,tol,expected", PINNED)
 def test_series_values_pinned(z, q, tol, expected):
     values = (ramanujan_Aq(z, q, tol), Bq(abs(z), q, tol), theta_series(z, q, tol), Aq_derivative(z, q, tol))
-    assert tuple(repr(cv.value) for cv in values) == expected
+    assert (tuple(repr(cv.value) for cv in values), tuple(repr(cv.tail_bound) for cv in values)) == expected
 
 
 # Sums that leave double range raise OutOfRange naming the argument: (q;q)_inf underflowing to 0, a
@@ -199,3 +233,38 @@ def test_series_values_pinned(z, q, tol, expected):
 def test_out_of_double_range(series, z, q, message):
     with pytest.raises(OutOfRange, match=message):
         series(z, q)
+
+
+def test_theta_series_did_not_certify():
+    # |z| = 1 keeps every power finite, so a q this close to 1 runs out of terms instead of overflowing
+    with pytest.raises(OutOfRange) as exc:
+        theta_series(1.0, 0.999999)
+    assert str(exc.value) == "theta series did not certify within 100000 terms"
+
+
+# A NaN tol or a non-finite argument is refused at entry, naming it, instead of summing up to the term cap
+# and then reporting that the sum did not certify.
+@pytest.mark.parametrize("series,args,message", [
+    (ramanujan_Aq, (0.5, 0.5, math.nan), "tol must be > 0, got nan"),
+    (Bq, (0.5, 0.5, math.nan), "tol must be > 0, got nan"),
+    (Aq_derivative, (0.5, 0.5, math.nan), "tol must be > 0, got nan"),
+    (theta_series, (0.5, 0.5, math.nan), "tol must be > 0, got nan"),
+    (theta_product, (0.5, 0.5, math.nan), "tol must be > 0, got nan"),
+    (ramanujan_Aq, (math.nan, 0.5), "series argument must be finite, got |w|=nan"),
+    (ramanujan_Aq, (complex(0.0, math.inf), 0.5), "series argument must be finite, got |w|=inf"),
+    (Bq, (math.inf, 0.5), "series argument must be finite, got |w|=inf"),
+    (Aq_derivative, (complex(math.nan, 1.0), 0.5), "derivative series argument must be finite, got |z|=nan"),
+    (theta_series, (math.nan, 0.5), "theta series argument must be finite, got |z|=nan"),
+    (theta_series, (-math.inf, 0.5), "theta series argument must be finite, got |z|=inf"),
+])
+def test_non_finite_input_refused(series, args, message):
+    with pytest.raises(OutOfRange) as exc:
+        series(*args)
+    assert str(exc.value) == message
+
+
+def test_tiny_theta_argument_keeps_its_path():
+    # finite, so not refused at entry: 1/|z| overflows to inf, and the wings never certify
+    with pytest.raises(OutOfRange) as exc:
+        theta_series(1e-320, 0.5)
+    assert str(exc.value) == "theta series did not certify within 100000 terms"
