@@ -349,20 +349,21 @@ def verify(params: CaseParams, z, q, n_candidates: Sequence[int], jobs: int = 1)
     """Verification rows over the admissible subset of the candidates.
 
     All rows are evaluated in one batch (see ``_rows``).  ``jobs > 1`` splits
-    the indices into ``jobs`` contiguous chunks, evaluates each in a worker
-    process and joins them in n-order; rows are independent, so parallel and
-    serial runs produce identical output.
+    the indices into ``min(jobs, rows)`` contiguous chunks, evaluates each in
+    a worker process of a pool of that size and joins them in n-order; rows
+    are independent, so parallel and serial runs produce identical output.
     """
     zc = _checked_z(z, nonzero=False)   # the kernels name a zero z themselves
     ns = admissible_candidates(params, list(n_candidates))
     if not ns:
         raise EmptyCandidates(f"no admissible indices for case {params.case_id}")
     qv = QParam.of(q).q
+    jobs = min(jobs, len(ns))
     if jobs <= 1:
         return _rows(params, zc, qv, ns)
     chunks = [ns[i * len(ns) // jobs:(i + 1) * len(ns) // jobs] for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_rows, repeat(params), repeat(zc), repeat(qv), [c for c in chunks if c])
+        parts = pool.map(_rows, repeat(params), repeat(zc), repeat(qv), chunks)
         return [row for part in parts for row in part]
 
 

@@ -19,6 +19,7 @@ like q**(k*k), so accumulated roundoff stays at ulp scale.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -118,15 +119,21 @@ def qpoch_finite(a, q, n: int):
     """Finite product prod_{k=0}^{n-1} (1 - a q^k); the empty product is 1.
 
     Accepts real or complex a and preserves the input kind in the result.
+    Raises OutOfRange for a non-finite a and for a product that leaves
+    double range.
     """
     qv = QParam.of(q).q
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
+    if not cmath.isfinite(a):
+        raise OutOfRange(f"a must be finite, got {a!r}")
     p = complex(1.0) if isinstance(a, complex) else 1.0
     f = 1.0
     for _ in range(n):
         p = p * (1.0 - a * f)
         f *= qv
+    if not cmath.isfinite(p):   # a non-finite factor never turns finite again
+        raise OutOfRange(f"(a; q)_{n} leaves double range for a={a!r}, q={qv!r}")
     return p
 
 

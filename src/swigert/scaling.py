@@ -74,24 +74,27 @@ class RealParam:
         """
         if isinstance(text, RealParam):
             return text
-        if isinstance(text, Fraction):
-            return cls.rational(text)
-        if isinstance(text, (int, float)):
-            return cls.rational(Fraction(repr(float(text)) if isinstance(text, float) else text))
-        s = str(text).strip()
-        m = _TOKEN_RE.match(s)
-        if m:
-            sign, token, offset = m.groups()
-            v = _TOKENS[token]
-            if sign:
-                v = -v
-            if offset:
-                v += int(offset)
-            return cls.irrational(v, provenance=s)
+        if isinstance(text, (Fraction, int)):
+            frac = Fraction(text)
+        else:
+            s = repr(float(text)) if isinstance(text, float) else str(text).strip()
+            m = _TOKEN_RE.match(s)
+            if m:
+                sign, token, offset = m.groups()
+                v = _TOKENS[token]
+                if sign:
+                    v = -v
+                if offset:
+                    v += int(offset)
+                return cls.irrational(v, provenance=s)
+            try:
+                frac = Fraction(s)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise OutOfRange(f"cannot parse scaling value {text!r}") from exc
         try:
-            return cls.rational(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise OutOfRange(f"cannot parse scaling value {text!r}") from exc
+            return cls.rational(frac)
+        except OverflowError:
+            raise OutOfRange(f"scaling value {text!r} leaves double range") from None
 
     def describe(self) -> str:
         if self.is_rational:

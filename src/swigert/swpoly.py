@@ -16,9 +16,12 @@ principal logarithm, applied once before any scaling.
 
 Each normalized sum has one implementation, a private batch kernel:
 ``_reversed_sums`` and ``_split_sums`` hold a sweep's rows as numpy arrays
-and loop over k once, updating every live row per step.  ``sw_normalized``
-and ``sw_theta_normalized`` are their one-row calls.  The tests hold each
-sum once more as a scalar k-loop, the kernels' bit-for-bit oracle.
+and loop over k once, updating every live row per step.  Both kernels run
+one step, ``_step``, and differ only in their row setup: the reversed sum
+is a single pass over j = k, the split sum two wings around m//2 that join
+into one pass.  ``sw_normalized`` and ``sw_theta_normalized`` are their
+one-row calls.  The tests hold each sum once more as a scalar k-loop, the
+kernels' bit-for-bit oracle.
 The kernels give each row the scalar loop's bits by one rule: a complex
 value is a pair of float64 arrays (real, imaginary), and each complex
 product or quotient is written out with one ufunc per operation in the order
@@ -210,17 +213,23 @@ def _parts(values) -> tuple:
 
 
 class _Rows:
-    """The live rows of a vector pass: their output positions and per-row arrays.
+    """The live rows of a vector pass: their output positions, per-row arrays and shared scalars.
 
-    Every pass sums into ``s_re``/``s_im``.  ``retire`` stores the sums of
-    the rows that just finished and drops those rows from every array, so
-    later steps touch only rows still summing.
+    Every row holds its ratio w, its current term t and its sum s, each a
+    real and imaginary float64 array; ``fields`` adds the pass's own
+    values, a scalar where every row shares it.  ``retire`` stores the sums
+    of the rows that just finished and drops those rows from every per-row
+    array, so later steps touch only rows still summing.
     """
 
-    def __init__(self, **arrays):
-        self.names = tuple(arrays)
-        vars(self).update(arrays)
-        size = len(self.s_re)
+    def __init__(self, w, term, **fields):
+        self.w_re, self.w_im = _parts(w)
+        self.wz_re, self.wz_im = self.w_re * 0.0, self.w_im * 0.0
+        self.t_re, self.t_im = _parts(term)
+        size = len(w)
+        self.s_re, self.s_im = np.zeros(size), np.zeros(size)
+        vars(self).update(fields)
+        self.names = tuple(name for name, value in vars(self).items() if isinstance(value, np.ndarray))
         self.pos = np.arange(size)
         self.out_re = np.zeros(size)
         self.out_im = np.zeros(size)
@@ -236,7 +245,7 @@ class _Rows:
                 setattr(self, name, getattr(self, name)[keep])
 
     def join(self, other: "_Rows") -> None:
-        """Append the rows of other; its outputs follow this pass's outputs."""
+        """Append the rows of other, whose scalars equal this pass's; its outputs follow this pass's outputs."""
         self.pos = np.concatenate([self.pos, other.pos + self.out_re.size])
         self.out_re = np.concatenate([self.out_re, other.out_re])
         self.out_im = np.concatenate([self.out_im, other.out_im])
@@ -247,12 +256,42 @@ class _Rows:
         return [complex(re, im) for re, im in zip(self.out_re.tolist(), self.out_im.tolist())]
 
 
+def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bound=None) -> None:
+    """Step k of a vector pass on every live row: the one loop body of both sums.
+
+    A row's term k sits at j = half + sign*k and is weighted by
+    1/((q;q)_j (q;q)_(n-j)).  Without qq2 the term is divided by that
+    product; with qq2 it is multiplied by their ratio, which is asserted in
+    (0, 1], and the weighted term is asserted under ``bound(k, rows.wide)``.
+    The division and the ratio round differently, so each sum keeps its
+    own.  The term then advances by w q^(2k+1), and a row retires when
+    k_end <= k, or when k_break < k and its next term underflows.
+    """
+    j = rows.half + rows.sign * k
+    den = weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip")
+    if qq2 is None:
+        c_re, c_im = _div_real(rows.t_re, rows.t_im, den)
+    else:
+        ratio = qq2 / den
+        assert 0.0 < ratio.min(initial=1.0) and ratio.max(initial=0.0) <= 1.0   # initial=: s1 may have no rows at k = 0
+        c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
+        assert (np.hypot(c_re, c_im) <= bound(k, rows.wide)).all()
+    rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
+    # w * qodd, its two "* 0.0" products hoisted out of the loop
+    wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd
+    rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, wq_re, wq_im)
+    rows.qodd = rows.qodd * (qv * qv)
+    rows.retire((rows.k_end <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
+
+
 def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
     """The reversed sum of ``sw_normalized`` at every n of ns, as one vector pass over k.
 
     This is the sum's only implementation; ``sw_normalized`` is its one-row
     call.  Row setup runs in row order, so the first row whose term peak
-    leaves double range sets the PeakOverflow.
+    leaves double range sets the PeakOverflow.  The rows run through
+    ``_step`` as one wing, j = k for k up to n; a row may retire on
+    underflow only past the term peak, at k_break = ceil(k*) + 1.
     """
     qv = QParam.of(q).q
     if z == 0:
@@ -274,29 +313,18 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
         bases.append(-(qv ** (tau * n)) / zc * cmath.exp(complex(0.0, 2.0 * math.pi * d)))
         k_breaks.append(int(math.ceil(max(k_star, 0.0))) + 1)
     prefix = _qq_prefix(qv)
-    weights = np.array(prefix)
-    last = len(prefix) - 1
-    size = len(ns)
-    b_re, b_im = _parts(bases)
-    rows = _Rows(n=np.array(ns, dtype=np.int64), k_break=np.array(k_breaks, dtype=np.int64),
-                 b_re=b_re, b_im=b_im, bz_re=b_re * 0.0, bz_im=b_im * 0.0,
-                 t_re=np.ones(size), t_im=np.zeros(size), s_re=np.zeros(size), s_im=np.zeros(size))
+    n = np.array(ns, dtype=np.int64)
+    rows = _Rows(bases, [complex(1.0)] * len(ns), n=n, k_end=n, k_break=np.array(k_breaks, dtype=np.int64),
+                 half=0, sign=1, qodd=qv)
     # Each weight product is >= (q;q)_inf^2; where that underflows to 0, a product may
     # vanish or be subnormal, and the first non-finite step raises instead of warning.
     may_vanish = prefix[-1] ** 2 == 0.0
-    qodd = qv
+    weights = np.array(prefix)
     k = 0
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise") if may_vanish else nullcontext():
             while rows.pos.size:
-                den = prefix[min(k, last)] * weights.take(rows.n - k, mode="clip")
-                a_re, a_im = _div_real(rows.t_re, rows.t_im, den)
-                rows.s_re, rows.s_im = rows.s_re + a_re, rows.s_im + a_im
-                # base * qodd, its two "* 0.0" products hoisted out of the loop
-                bq_re, bq_im = rows.b_re * qodd - rows.bz_im, rows.bz_re + rows.b_im * qodd
-                rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, bq_re, bq_im)
-                qodd *= qv * qv
-                rows.retire((rows.n <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
+                _step(rows, k, weights, qv)
                 k += 1
     except FloatingPointError:
         raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0") from None
@@ -308,9 +336,10 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
 
     This is the sum's only implementation; ``sw_theta_normalized`` is its
     one-row call.  Row setup runs in row order, so the first row whose m is
-    too far from the floor sets the BadTau.  Both wings of every row run in
-    one vector pass over k: s1 from k = 0, s2 joining at k = 1, so all live
-    rows share k and its term bound.
+    too far from the floor sets the BadTau.  Both wings of every row run
+    through ``_step`` in one vector pass over k: s1 (j = m//2 - k) from
+    k = 0, s2 (j = m//2 + k) joining at k = 1, so all live rows share k and
+    its term bound.
     """
     qv = QParam.of(q).q
     tau = scaling.tau.value
@@ -345,10 +374,18 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     half = np.array([m // 2 for m, _, _ in setups], dtype=np.int64)
     wide = np.array(wide, dtype=bool)
     w2 = [1.0 / w for w in w1]
-    s1 = _wing_rows(n, half, half, -1, w1, [complex(1.0)] * size, qv, wide)
-    s2 = _wing_rows(n, half, n - half, 1, w2, [w * qv for w in w2], qv**3, wide)
-    step = partial(_wing_step, weights=np.array(prefix), qq2=qq2,
-                   log_mag=math.log(max(abs(zc), 1.0 / abs(zc))), log_q=math.log(qv), qv=qv, any_wide=bool(wide.any()))
+    log_mag, log_q = math.log(max(abs(zc), 1.0 / abs(zc))), math.log(qv)
+    any_wide = bool(wide.any())
+
+    def bound(k: int, wide):
+        """The term bound at k: per row where some row needs the wider one, else one scalar."""
+        tight = _term_bound(k, log_mag, log_q, 2.0)
+        return np.where(wide, _term_bound(k, log_mag, log_q, 3.0), tight) if any_wide else tight
+
+    wing = partial(_Rows, n=n, half=half, wide=wide, k_break=2)
+    s1 = wing(w1, [complex(1.0)] * size, k_end=half, sign=np.full(size, -1), qodd=np.full(size, qv))
+    s2 = wing(w2, [w * qv for w in w2], k_end=n - half, sign=np.full(size, 1), qodd=np.full(size, qv**3))
+    step = partial(_step, weights=np.array(prefix), qv=qv, qq2=qq2, bound=bound)
     s1.retire(s1.k_end < 0)               # an empty range sums to 0
     step(s1, 0)
     s2.retire(s2.k_end < 1)
@@ -362,37 +399,3 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
         SplitSumResult(value=a + b, m=m, c_n=c, d_n=d, chi_m=m - 2 * (m // 2), s1=a, s2=b)
         for (m, c, d), a, b in zip(setups, sums[:size], sums[size:])
     ]
-
-
-def _wing_rows(n, half, k_end, sign: int, w, term, qodd: float, wide) -> _Rows:
-    """One wing's rows: j = m//2 + sign*k up to k_end, ratio w, and term and q^(2k+1) at the first k."""
-    size = len(w)
-    w_re, w_im = _parts(w)
-    t_re, t_im = _parts(term)
-    return _Rows(n=n, half=half, k_end=k_end, sign=np.full(size, sign), wide=wide,
-                 w_re=w_re, w_im=w_im, wz_re=w_re * 0.0, wz_im=w_im * 0.0, qodd=np.full(size, qodd),
-                 t_re=t_re, t_im=t_im, s_re=np.zeros(size), s_im=np.zeros(size))
-
-
-def _wing_step(rows: _Rows, k: int, weights, qq2: float, log_mag: float, log_q: float, qv: float, any_wide: bool) -> None:
-    """Step k of the split sum's wing loop on every live row."""
-    if not rows.pos.size:
-        return
-    j = rows.half + rows.sign * k
-    ratio = qq2 / (weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip"))
-    assert 0.0 < ratio.min() and ratio.max() <= 1.0
-    c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
-    if any_wide:
-        assert (np.hypot(c_re, c_im) <= np.where(
-            rows.wide, _term_bound(k, log_mag, log_q, 3.0), _term_bound(k, log_mag, log_q, 2.0))).all()
-    else:
-        assert np.hypot(c_re, c_im).max() <= _term_bound(k, log_mag, log_q, 2.0)
-    rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
-    # w * qodd, its two "* 0.0" products hoisted out of the loop
-    wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd
-    rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, wq_re, wq_im)
-    rows.qodd = rows.qodd * (qv * qv)
-    done = rows.k_end <= k
-    if k > 2:
-        done |= np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW
-    rows.retire(done)

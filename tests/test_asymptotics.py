@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swigert import asymptotics
 from swigert.asymptotics import (
     _REGIMES,
     CaseParams,
@@ -414,6 +415,29 @@ class TestVerifyMechanics:
             assert (a.n, a.lhs, a.main, a.abs_err, a.bound, a.within, a.nu_n) == (
                 b.n, b.lhs, b.main, b.abs_err, b.bound, b.within, b.nu_n,
             )
+
+    def test_pool_sized_by_rows(self, monkeypatch):
+        # an in-process stand-in for the pool: it records its size and forks nothing
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", InProcessPool)
+        p, ns = params_case4(), [1, 5, 9]
+        pooled = verify(p, 1.0 + 0.5j, 0.5, ns, jobs=8)
+        assert sizes and max(sizes) <= len(ns)
+        assert pooled == verify(p, 1.0 + 0.5j, 0.5, ns, jobs=1)
 
 
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))

@@ -79,6 +79,7 @@ class TestEval:
         (["qpoch", "--a", "0.5", "--q", "0.5", "--n", "inf", "--tol", "nan"], "tol must be > 0, got nan"),
         (["Aq", "--z", "nan", "--q", "0.5"], "series argument must be finite, got |w|=nan"),
         (["theta_series", "--z", "nan", "--q", "0.5"], "theta series argument must be finite, got |z|=nan"),
+        (["qpoch", "--a", "nan", "--q", "0.5", "--n", "3"], "a must be finite, got nan"),
     ])
     def test_nan_input_exits_2(self, capsys, argv, message):
         assert_usage_error(*run(capsys, "eval", *argv)[::2], message)
@@ -617,6 +618,10 @@ OUT_OF_DOUBLE_RANGE = [
     (["eval", "Aq", "--z", "0.7", "--q", "0.999"], "q = 0.999 is too close to 1"),
     (["eval", "theta_series", "--z", "1e7", "--q", "0.8"], "|z|=10000000.0"),
     (["eval", "Bq", "--z", "1e8", "--q", "0.8"], "|w|=100000000.0"),
+    (["eval", "qpoch", "--a", "1e200", "--q", "0.5", "--n", "3"], "(a; q)_3 leaves double range for a=1e+200"),
+    (["verify", "--case", "1", "--q", "0.5", "--tau", "1e400", "--theta", "0", "--nmax", "5"],
+     "scaling value '1e400' leaves double range"),
+    (["witness", "--theta", "1e400", "--rho", "1", "--nmax", "10"], "scaling value '1e400' leaves double range"),
 ]
 
 

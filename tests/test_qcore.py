@@ -76,6 +76,16 @@ class TestQpochFinite:
         with pytest.raises(OutOfRange):
             qpoch_finite(0.5, 0.5, -1)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(OutOfRange, match="a must be finite"):
+            qpoch_finite(a, 0.5, 3)
+
+    @pytest.mark.parametrize("a", [1e200, -1e200, complex(1e120, 1e120)])
+    def test_product_beyond_double_range_rejected(self, a):
+        with pytest.raises(OutOfRange, match=r"\(a; q\)_3 leaves double range"):
+            qpoch_finite(a, 0.5, 3)
+
 
 class TestQpochInfinite:
     def test_zero_argument(self):

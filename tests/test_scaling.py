@@ -38,6 +38,16 @@ class TestRealParamParse:
         with pytest.raises(OutOfRange):
             RealParam.parse("sqrt7")
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", 10**400], ids=["1e400", "-1e400", "int 10**400"])
+    def test_beyond_double_range_rejected(self, text):
+        with pytest.raises(OutOfRange, match="leaves double range"):
+            RealParam.parse(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(OutOfRange, match="cannot parse scaling value"):
+            RealParam.parse(value)
+
 
 class TestScalingSplits:
     def test_rational_split_is_exact(self):

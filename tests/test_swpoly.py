@@ -390,6 +390,13 @@ class TestBatchKernels:
         got = _reversed_sums(ns, z, sc, q)
         assert [bits(v) for v in got] == [bits(v) for v in refs]
 
+    def test_reversed_kernel_under_errstate_equals_scalar(self):
+        # at q = 0.998 (q;q)_inf^2 underflows to 0, so the pass runs under np.errstate
+        sc, q, ns = make_scaling("1/2", "0"), 0.998, range(1, 41)
+        assert qq_infinity(q) ** 2 == 0.0
+        got = _reversed_sums(ns, 1.0, sc, q)
+        assert [bits(v) for v in got] == [bits(reversed_sum(n, 1.0, sc, q)) for n in ns]
+
     def test_rows_stop_at_different_k(self):
         # n = 1..3 end by their range, n = 40 and 4 001 by underflow; an explicit m
         # past the floor gives the first row an empty s1 range
@@ -399,6 +406,9 @@ class TestBatchKernels:
         for got, n, m in zip(_split_sums(ns, ms, z, sc, q), ns, ms):
             assert got == split_sum(n, z, sc, q, m=m)
         assert _split_sums(ns, ms, z, sc, q)[0].s1 == 0
+        # with every s1 range empty, the k = 0 step runs on no rows
+        for got, n in zip(_split_sums(ns[:2], [-1, -1], z, sc, q), ns):
+            assert got == split_sum(n, z, sc, q, m=-1) and got.s1 == 0
 
     def test_first_failing_row_sets_the_error(self):
         sc, z, q = make_scaling("-1/2", "1/4"), 1.0 + 0.5j, 0.5
