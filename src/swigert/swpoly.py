@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -320,14 +319,19 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
     # vanish or be subnormal, and the first non-finite step raises instead of warning.
     may_vanish = prefix[-1] ** 2 == 0.0
     weights = np.array(prefix)
+    # Elsewhere a divided term may still leave double range; the pass runs quietly and its
+    # sums are checked once at the end.
     k = 0
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise") if may_vanish else nullcontext():
+        with np.errstate(over="raise", divide="raise", invalid="raise") if may_vanish else np.errstate(all="ignore"):
             while rows.pos.size:
                 _step(rows, k, weights, qv)
                 k += 1
     except FloatingPointError:
         raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0") from None
+    lost = ~(np.isfinite(rows.out_re) & np.isfinite(rows.out_im))
+    if lost.any():
+        raise OutOfRange(f"reversed sum leaves double range at n={ns[int(lost.argmax())]} (q = {qv!r})")
     return rows.sums()
 
 
@@ -350,7 +354,7 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     if min(ns, default=1) < 1:
         raise DomainTooLarge(f"n must be >= 1, got {min(ns)}")
     prefix = _qq_prefix(qv)
-    qq2 = prefix[-1] ** 2
+    qq2 = prefix[-1] * prefix[-1]   # a product, as each weight product is: their ratio rounds to <= 1
     if qq2 == 0.0:   # else every weight product is >= qq2 > 0
         raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_inf^2 underflows to 0")
     zc = complex(z)

@@ -210,45 +210,45 @@ BUDGET_BITS = {
     (1, 0.5, (1+0.5j), 300): 1.0318621811887853e-90,
     (1, 0.9, (1+0.5j), 300): 1.7804470678712657e-11,
     (1, 0.9, (1+0.5j), 5000): 1.549970496803913e-226,
-    (2, 0.5, (1+0.5j), 400): 1.1136105891443384e-59,
-    (2, 0.9, (1+0.5j), 400): 149.7406443910788,
-    (2, 0.9, (1+0.5j), 4000): 6.484204280016823e-81,
-    (3, 0.5, (1+0.5j), 10000): 4.875888340532071,
-    (3, 0.5, (1+0.5j), 100000): 0.9021853748637291,
-    (3, 0.9, (1+0.5j), 10000): 54271323904.66934,
-    (3, 0.9, (1+0.5j), 100000): 10675554499.265697,
-    (4, 0.5, (1+0.5j), 10000): 0.02878209363162735,
-    (4, 0.5, (1+0.5j), 10800): 0.014391046815813675,
-    (4, 0.5, (1+0.5j), 11600): 0.007195523407906837,
-    (4, 0.5, (1+0.5j), 14800): 0.00044972021299417733,
-    (4, 0.5, (1+0.5j), 40000): 1.0470864665558965e-13,
-    (4, 0.5, (2+1j), 10000): 0.04550848585208489,
-    (4, 0.5, (2+1j), 10800): 0.022754242926042445,
-    (4, 0.5, (2+1j), 11600): 0.011377121463021223,
-    (4, 0.5, (2+1j), 14800): 0.0007110700914388264,
-    (4, 0.5, (2+1j), 40000): 1.6555890707271788e-13,
-    (4, 0.9, (1+0.5j), 10000): 357261949.46536624,
-    (4, 0.9, (1+0.5j), 10800): 321423653.5668457,
-    (4, 0.9, (1+0.5j), 11600): 289253617.980174,
-    (4, 0.9, (1+0.5j), 14800): 189773596.31616884,
-    (4, 0.9, (1+0.5j), 40000): 6516225.046612612,
-    (4, 0.9, (2+1j), 10000): 7377556747.379108,
-    (4, 0.9, (2+1j), 10800): 6563148871.566361,
-    (4, 0.9, (2+1j), 11600): 5894021758.3307495,
-    (4, 0.9, (2+1j), 14800): 3865648199.0552444,
-    (4, 0.9, (2+1j), 40000): 132734134.1785836,
-    (5, 0.5, (1+0.5j), 10000): 59.05737040538974,
-    (5, 0.5, (1+0.5j), 100000): 7.125152449194686,
-    (5, 0.9, (1+0.5j), 10000): 242473606.6429354,
-    (5, 0.9, (1+0.5j), 100000): 47696278.920652226,
-    (6, 0.5, (1+0.5j), 10000): 59.05737040538974,
-    (6, 0.5, (1+0.5j), 100000): 7.125152449194686,
-    (6, 0.9, (1+0.5j), 10000): 242473606.6429354,
-    (6, 0.9, (1+0.5j), 100000): 47696278.920652226,
-    (7, 0.5, (1+0.5j), 10000): 5715.505265554688,
-    (7, 0.5, (1+0.5j), 100000): 4449.97579263406,
-    (7, 0.9, (1+0.5j), 10000): 60906616252.558075,
-    (7, 0.9, (1+0.5j), 100000): 47696278920.652245,
+    (2, 0.5, (1+0.5j), 400): 1.1136105891444177e-59,
+    (2, 0.9, (1+0.5j), 400): 149.74064439107872,
+    (2, 0.9, (1+0.5j), 4000): 6.48420428001682e-81,
+    (3, 0.5, (1+0.5j), 10000): 4.875888340532418,
+    (3, 0.5, (1+0.5j), 100000): 0.9021853748637932,
+    (3, 0.9, (1+0.5j), 10000): 54271323904.66933,
+    (3, 0.9, (1+0.5j), 100000): 10675554499.265694,
+    (4, 0.5, (1+0.5j), 10000): 0.028782093631631454,
+    (4, 0.5, (1+0.5j), 10800): 0.014391046815815727,
+    (4, 0.5, (1+0.5j), 11600): 0.007195523407907863,
+    (4, 0.5, (1+0.5j), 14800): 0.00044972021299424146,
+    (4, 0.5, (1+0.5j), 40000): 1.0470864665560458e-13,
+    (4, 0.5, (2+1j), 10000): 0.04550848585209138,
+    (4, 0.5, (2+1j), 10800): 0.02275424292604569,
+    (4, 0.5, (2+1j), 11600): 0.011377121463022844,
+    (4, 0.5, (2+1j), 14800): 0.0007110700914389278,
+    (4, 0.5, (2+1j), 40000): 1.6555890707274149e-13,
+    (4, 0.9, (1+0.5j), 10000): 357261949.46536577,
+    (4, 0.9, (1+0.5j), 10800): 321423653.5668453,
+    (4, 0.9, (1+0.5j), 11600): 289253617.98017365,
+    (4, 0.9, (1+0.5j), 14800): 189773596.3161686,
+    (4, 0.9, (1+0.5j), 40000): 6516225.046612603,
+    (4, 0.9, (2+1j), 10000): 7377556747.379101,
+    (4, 0.9, (2+1j), 10800): 6563148871.566355,
+    (4, 0.9, (2+1j), 11600): 5894021758.330743,
+    (4, 0.9, (2+1j), 14800): 3865648199.05524,
+    (4, 0.9, (2+1j), 40000): 132734134.17858347,
+    (5, 0.5, (1+0.5j), 10000): 59.05737040539817,
+    (5, 0.5, (1+0.5j), 100000): 7.125152449195703,
+    (5, 0.9, (1+0.5j), 10000): 242473606.6429351,
+    (5, 0.9, (1+0.5j), 100000): 47696278.920652166,
+    (6, 0.5, (1+0.5j), 10000): 59.05737040539817,
+    (6, 0.5, (1+0.5j), 100000): 7.125152449195703,
+    (6, 0.9, (1+0.5j), 10000): 242473606.6429351,
+    (6, 0.9, (1+0.5j), 100000): 47696278.920652166,
+    (7, 0.5, (1+0.5j), 10000): 5715.505265555504,
+    (7, 0.5, (1+0.5j), 100000): 4449.975792634696,
+    (7, 0.9, (1+0.5j), 10000): 60906616252.55801,
+    (7, 0.9, (1+0.5j), 100000): 47696278920.65218,
 }
 
 

@@ -295,6 +295,17 @@ class TestVerifyCmd:
         assert json.loads(flags_run[1])["n_last"] == 97
         assert flags_out.read_bytes() == cfg_out.read_bytes()
 
+    def test_saturated_split_ratio_keeps_its_assert(self, capsys, tmp_path):
+        # both wing indices reach the saturated (q;q)_j tail, where (q;q)_inf**2 would round
+        # one ulp above the weight product and the ratio assert would fire
+        code, out, err = run(
+            capsys, "verify", "--case", "4", "--q", "0.48318829109042716", "--z-re", "1", "--tau", "-19/10",
+            "--theta", "0", "--lambda", "0", "--lambda1", "0", "--nmin", "1000", "--nmax", "1000",
+            "--out", str(tmp_path / "rows.csv"),
+        )
+        assert code in (0, 1) and "Traceback" not in err
+        assert json.loads(out)["n_count"] == 1
+
     def test_deep_terms_keep_their_bound(self, capsys, tmp_path):
         # q = 0.9 and |z| far from 1: max^k is huge while q^(k (k - 2)) alone
         # underflows; at n = 401 the k = 86 s2 term is 3.3e-280
@@ -554,23 +565,23 @@ REPORT_SHA256 = {
     1: ("c0ef2930d77267830d3ae150edf9386165578fbc7a9e64246abb74fe1109d064",
         "b708e36338948853e6c45bbb7fb5a39d1899d8f065e33cf2c5294604af3cdd40",
         "fb44b146ada73a800dab229c00ee51e111af7d83332fcec10ed99a985efa89bb"),
-    2: ("e93dab79572fad591e8bede9a235a6eb8ae7d2af61805c2ba1a5e94d5678fe46",
-        "5bcc6048686b8f8fe55db0c56741800d1ce00508cf694f1cd5ed391848166c8b",
+    2: ("f95cf3f428872612d32c8e6cb9300f31ea35a25c5c14873b840e43f274ba5912",
+        "00a5b31fe9c3a3774126660194f1e06f38bd8520749e54e850fa5f9de4a96a01",
         "9fdaeff8faff80d94486ca3769cf7c0a4b8387c6678d1afe34bc6a7a275a4a69"),
-    3: ("8aa49f008aa37b6c46c5bff1f87efe292f1780ed18194294227b1f7847ff9231",
-        "7ad0238d6a02a376eceb18134521278a970f3f9e480dc358c6e70180bba879f6",
+    3: ("cc1683f827b602d5735bdccc9000f30b567ba0f3297dd0e3617bddebe065d8b7",
+        "8510ff205e87ff637c06e56d49e15ffe1fab1917e7f84ab8f132c3c2e44e2cc9",
         "d8c0fd9b158b5743ab0476d504f6a4282d907f6dee57c83e2848090f29e4f2ca"),
-    4: ("2ff3c5cad69273ecdc715e1651313f9a0aa2925a99613d5e51e5a986d4b5f3b1",
-        "688fe9437d6606c1d3a03e2b4171e5741c42a242df78f5f0b4d14703191d08ed",
+    4: ("b343277be98b21ed99e1c9f127b47b67090aa4907b154f8690f298f55c2fdcf1",
+        "c41c1071259c38929e36cd924bb3f29480ac2226bded0ef1ef5ceac2d86ad105",
         "0e8cce8883f7c5d048f6d045233e33bef9d4caa8f29f5f584a644408c397f22d"),
-    5: ("5e8ecc64cfcf502cc9a9fc09515039548c2328ad1b1508456b96fb3584acec02",
-        "0462f1764e087b424af85b6acf526b2f7ed074e503d189bf86594505195c28d9",
+    5: ("07b5ac51cbe19570b2dca1b570e0fde2d13b354b666da00deeb975f8472f8587",
+        "3a40947f909226baed45f3ac0961421432f954a596a6f18d3963d0294311bb21",
         "2e18ff95b2622d61e44181506e71d7e97eaea5f11baaad7424e04114f0b72c29"),
-    6: ("3973f59bdb3549b2ed811bec708580c9b950516c87902eab6fe7b6315473d3b1",
-        "675d46df4e2882b063cc4b449339bce4ea0a8243d82422cb507ed98d16cd558b",
+    6: ("79d73e2f46000380bbebb8b258a1ae3505a3f8de9aee537e5754f4bc31b39c3f",
+        "1d4fbf0f299803a2165bc915ec9795a0b3ea8cc9f1f357274756bffed3f80321",
         "b4326936b9d57a6aaae0c39abb32ff707194337634382ae7d46d9a0a006698a1"),
-    7: ("1f277dcecc8740b47907c3dfa416a7beffee9b21fe8cf6b6c386c21315b3868f",
-        "465c226ff4760c191f2429e494c87e35441969c3f13aef2e30a49aac5828eb2c",
+    7: ("ad718c6d6ea84f3765b1f436a0017a13d180fa79c6755e6c863d2f4cf5d716e0",
+        "22a5a8fa72646ed2cbd036d09531f8394614ed7b92ef8e498ab7801a7f111b70",
         "612e413ddb541521eba920b2e9da99d0539c4e2f731657c01f884c014ffdae20"),
 }
 
@@ -622,6 +633,10 @@ OUT_OF_DOUBLE_RANGE = [
     (["verify", "--case", "1", "--q", "0.5", "--tau", "1e400", "--theta", "0", "--nmax", "5"],
      "scaling value '1e400' leaves double range"),
     (["witness", "--theta", "1e400", "--rho", "1", "--nmax", "10"], "scaling value '1e400' leaves double range"),
+    (["verify", "--case", "1", "--q", "0.9857", "--z-re", "-0.0027", "--tau", "1/100", "--theta", "0",
+      "--nmin", "200", "--nmax", "203"], "reversed sum leaves double range at n=200"),
+    (["eval", "qpoch", "--a", "0.999", "--q", "0.999", "--n", "inf"], "(a; q)_inf leaves double range for a=0.999"),
+    (["eval", "theta_product", "--z", "-1", "--q", "0.999"], "leaves double range"),
 ]
 
 

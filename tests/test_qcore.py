@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import math
 import pkgutil
@@ -16,7 +17,7 @@ from swigert.qcore import (
     qq_infinity,
 )
 
-from _oracles import qpoch_inf_product
+from _oracles import qpoch_inf_mp, qpoch_inf_product
 
 
 class TestQParam:
@@ -114,6 +115,32 @@ class TestQpochInfinite:
             truth = qpoch_inf_product(a, q, 600)
             assert abs(cv.value - truth) <= cv.tail_bound + 1e-13 * (1 + abs(truth))
             assert cv.tail_bound <= tol
+
+    def test_relative_accuracy_against_mpmath(self):
+        # away from zeros of the factors, the value keeps ~1e-12 relative accuracy up to q = 0.999,
+        # where it is as small as 1e-250 and an absolute tail says nothing about it
+        rng = np.random.default_rng(22)
+        checked = 0
+        for q, draws in ((0.05, 6), (0.3, 6), (0.6, 6), (0.9, 6), (0.97, 6), (0.99, 6), (0.995, 3), (0.999, 3)):
+            for i in range(draws):
+                r = rng.uniform(0.05, 2.0 if q < 0.995 else 0.7)
+                a = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                a = a if i % 2 else a.real
+                ref, near = qpoch_inf_mp(a, q)
+                if near < 1e-2 or not 1e-300 < abs(ref) < 1e300:
+                    continue
+                cv = qpoch_infinite(a, q, 1e-13)
+                assert isinstance(cv.value, complex) == isinstance(a, complex)
+                assert cv.tail_bound <= 1e-13 * min(1.0, abs(cv.value))
+                assert abs(cv.value - complex(ref)) <= 1e-12 * abs(complex(ref)), (a, q)
+                checked += 1
+        assert checked >= 35
+
+    @pytest.mark.parametrize("a,q", [(0.999, 0.999), (0.5, 0.9999), (-1.9, 0.9995), (complex(-1.5, 0.5), 0.999)])
+    def test_head_beyond_double_range_rejected(self, a, q):
+        # the head product underflows (first two) or overflows: no 0 or inf is certified
+        with pytest.raises(OutOfRange, match=r"\(a; q\)_inf leaves double range"):
+            qpoch_infinite(a, q, 1e-12)
 
     def test_bad_tolerance(self):
         with pytest.raises(OutOfRange):

@@ -161,6 +161,30 @@ class TestThetaProduct:
         with pytest.raises(ZeroArgument):
             theta_product(0.0, 0.5)
 
+    def test_theta4_near_q_one_keeps_relative_accuracy(self):
+        # theta_4(0.99) = sum (-1)^n q^(n^2) = 8.459e-106: the terms cancel across 106 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(140):
+            qm = mp.mpf(0.99)
+            ref = complex(1 + 2 * mp.fsum((-1) ** n * qm ** (n * n) for n in range(1, 200)))
+        assert ref.real == pytest.approx(8.459e-106, rel=1e-4)
+        cv = theta_product(-1.0, 0.99)
+        assert abs(cv.value - ref) <= 1e-10 * abs(ref)
+        assert cv.tail_bound == 1e-12 * 2.0**-53    # the truncation bound, 2.6e-118, lies below the floor
+
+    def test_tail_within_tol_on_grid(self):
+        rng = np.random.default_rng(29)
+        for q in (0.05, 0.3, 0.6, 0.9, 0.97, 0.99):
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+                for _ in range(4):
+                    cv = theta_product(random_annulus(rng, 0.5, 2.0), q, tol)
+                    assert tol * 2.0**-53 <= cv.tail_bound <= tol
+
+    def test_beyond_double_range_rejected(self):
+        # theta_4(0.999) is about exp(-pi^2 / 0.004) = 1e-1071
+        with pytest.raises(OutOfRange, match="leaves double range"):
+            theta_product(-1.0, 0.999)
+
 
 # (z, q, tol) -> repr of the values, then of the tail bounds, of A_q(z), B_q(|z|), theta(z), A_q'(z): a change
 # that moves any bit of a series value or of its certificate, or a new guard that refuses a point the loops

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from swigert.errors import (
     BadTau,
     DomainTooLarge,
+    OutOfRange,
     PeakOverflow,
     SwigertError,
     ZeroArgument,
@@ -417,6 +418,25 @@ class TestBatchKernels:
             _split_sums(ns, ms, z, sc, q)
         with pytest.raises(PeakOverflow, match="n=2000"):
             _reversed_sums([5, 2000, 3000], 1.0, make_scaling("-3/2", "0"), 0.3)
+
+    def test_divided_term_beyond_double_range_names_its_row(self):
+        # (q;q)_inf^2 > 0, so no errstate pass, yet dividing a term by (q;q)_k (q;q)_(n-k)
+        # overflows from n = 199 on: the first such row in row order is named, with no numpy warning
+        sc, z, q = make_scaling("0", "0"), -0.0027290689279736787, 0.9856922131617617
+        assert qq_infinity(q) ** 2 > 0.0
+        with pytest.raises(OutOfRange, match="reversed sum leaves double range at n=200"):
+            sw_normalized(200, z, sc, q)
+        with pytest.raises(OutOfRange, match="at n=250 "):
+            _reversed_sums([150, 250, 199], z, sc, q)
+
+    def test_split_ratio_stays_in_unit_interval(self):
+        # both wing indices of the row reach the saturated prefix tail, where p**2 rounds one ulp
+        # above p*p: with qq2 formed as p*p the ratio asserts hold
+        sc, q = make_scaling("-19/10", "0"), 0.48318829109042716
+        p = qq_infinity(q)
+        assert p**2 > p * p
+        got = _split_sums([1000], None, 1.0, sc, q)[0]
+        assert got == split_sum(1000, 1.0, sc, q)
 
 
 # A pair whose complex128 product from numpy differs from CPython's in the last
