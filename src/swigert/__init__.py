@@ -43,7 +43,6 @@ from .errors import (
 from .qcore import (
     CertifiedValue,
     PochTailRemainders,
-    QParam,
     poch_tail_remainders,
     qpoch_finite,
     qpoch_infinite,

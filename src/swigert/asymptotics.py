@@ -46,7 +46,7 @@ from .diophantine import (
     witness_search_pair,
 )
 from .errors import EmptyCandidates, MissingParam, OutOfRange, UnsupportedScaling, ZeroArgument
-from .qcore import QParam, qpoch_infinite, qq_infinity
+from .qcore import _valid_q, qpoch_infinite, qq_infinity
 from .qspecial import Bq, ramanujan_Aq, theta_series
 from .scaling import RealParam, Scaling
 from .swpoly import _reversed_sums, _split_sums
@@ -189,7 +189,7 @@ def nu_n(params: CaseParams, n: int, q) -> int:
     Linear in n for the doubly rational strip regime, log^2 n for the
     regimes driven by a Diophantine witness, unused (0) otherwise.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     return _depths(params, [n], qv)[0]
@@ -205,7 +205,7 @@ def main_term(params: CaseParams, z, q, m: Optional[int] = None) -> complex:
     The strip regimes (4..7) need the index-dependent integer m, since the
     parity chi(m) shifts the theta argument; the verifier supplies it per n.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     zc = _checked_z(z)
     targets = [float(getattr(params, name)) for name in _REGIMES[params.case_id].targets]
     if not targets:
@@ -250,7 +250,7 @@ def error_bound(params: CaseParams, n: int, z, q) -> float:
     underflow to exactly 0, at which depth a sweep is measuring roundoff
     rather than truncation error.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     return _budgets(params, [n], [nu_n(params, n, qv)], _checked_z(z), qv)[0]
 
 
@@ -357,7 +357,7 @@ def verify(params: CaseParams, z, q, n_candidates: Sequence[int], jobs: int = 1)
     ns = admissible_candidates(params, list(n_candidates))
     if not ns:
         raise EmptyCandidates(f"no admissible indices for case {params.case_id}")
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     jobs = min(jobs, len(ns))
     if jobs <= 1:
         return _rows(params, zc, qv, ns)

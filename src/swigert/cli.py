@@ -129,6 +129,8 @@ def _eval_qpoch(z: complex, a: complex, args) -> CertifiedValue:
     a = a if a.imag != 0.0 else a.real
     if args.n.strip().lower() in ("inf", "infinity"):
         return qpoch_infinite(a, args.q, args.tol)
+    if not args.n.strip().isdecimal():
+        raise SwigertError(f"eval qpoch --n takes a nonnegative integer or 'inf', got {args.n!r}")
     return CertifiedValue(qpoch_finite(a, args.q, int(args.n)), 0.0)
 
 

@@ -16,13 +16,19 @@ rigorously dominates the truncation error.  Floating-point roundoff is not
 included in the certificate; all series handled here have terms that decay
 like q**(k*k), so accumulated roundoff stays at ulp scale.
 
-Infinite products are certified in log space.  ``qpoch_infinite`` (and
-``qspecial.theta_product``, through the same helpers) multiplies out the
+One loop, ``_certify``, certifies every value of the package: the four
+q-series of ``qspecial`` and the two products here.  Each evaluator hands it
+an unstarted generator of (value, tail bound) steps; the loop refuses a tol
+that is not > 0 before the generator runs, and returns the first step whose
+tail is within tol.
+
+Infinite products are certified in log space.  ``_product_steps`` (for
+``qpoch_infinite`` and ``qspecial.theta_product``) multiplies out the
 factors (1 - a q^k) while |a q^k| > 1/8, then sums
 log (b; q)_inf = -sum_m b^m / (m (1 - q^m)) for the rest, whose tail shrinks
-by 8 per term whatever q is.  The sum stops once the truncation error is
-within tol and within tol |value|, so a value near q = 1 that is as small
-as 1e-250 keeps its relative accuracy.  The cost is the head,
+by 8 per term whatever q is.  It yields only the steps whose truncation
+error is within tol and within tol |value|, so a value near q = 1 that is
+as small as 1e-250 keeps its relative accuracy.  The cost is the head,
 O(log(8 |a|) / (1 - q)) factors, plus O(log(1/tol)) series terms; a value
 outside the normal double range raises OutOfRange instead of being
 certified as 0 or inf.
@@ -56,20 +62,16 @@ _LOG_X0 = 0.125
 # certification of the constants appearing inside the bounds themselves.
 _NESTED_SLACK = 1e-14
 
+# Term cap of the series; one that has not certified by then is refused.
+_MAX_TERMS = 100_000
 
-@dataclass(frozen=True)
-class QParam:
-    """Base q of all series here, constrained to the open interval (0, 1)."""
 
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.q < 1.0) or not math.isfinite(self.q):
-            raise OutOfRange(f"q must lie strictly inside (0, 1), got {self.q!r}")
-
-    @classmethod
-    def of(cls, q) -> "QParam":
-        return q if isinstance(q, QParam) else cls(float(q))
+def _valid_q(q) -> float:
+    """q as a float; OutOfRange unless it lies strictly inside (0, 1), where every series here converges."""
+    qv = float(q)
+    if not 0.0 < qv < 1.0:
+        raise OutOfRange(f"q must lie strictly inside (0, 1), got {qv!r}")
+    return qv
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,32 @@ class CertifiedValue:
     @property
     def real(self) -> float:
         return complex(self.value).real
+
+
+def _certify(steps, tol: float, name: str, var: str, arg, q: float,
+             overflow: str = "{name} overflows double range (|{var}|={mag!r}, q={q!r})") -> CertifiedValue:
+    """The first step (value, tail bound) of ``steps`` whose bound is <= tol, as a CertifiedValue.
+
+    The one loop that certifies a value: every evaluator hands it an
+    unstarted generator, so tol is refused before any of the generator's own
+    checks or work runs.  A bound is NaN, which no tol accepts, until it
+    bounds the rest.  OutOfRange for a tol not > 0; for an OverflowError in a
+    step, or a non-finite value in a step that certifies, with ``overflow``
+    filled in from ``name``, ``var``, ``arg``, its magnitude ``mag`` and
+    ``q``; and for steps that run out, as a series does after ``_MAX_TERMS``
+    terms.
+    """
+    if not tol > 0.0:
+        raise OutOfRange(f"tol must be > 0, got {tol!r}")
+    try:
+        for value, tail in steps:
+            if tail <= tol:
+                if not cmath.isfinite(value):
+                    raise OverflowError("value left double range")
+                return CertifiedValue(value, tail)
+    except OverflowError as exc:
+        raise OutOfRange(overflow.format(name=name, var=var, arg=arg, mag=abs(arg), q=q)) from exc
+    raise OutOfRange(f"{name} did not certify within {_MAX_TERMS} terms")
 
 
 @lru_cache(maxsize=16)
@@ -107,7 +135,7 @@ def _qq_prefix(q: float) -> tuple[float, ...]:
 
 def qpoch_q_n(q, n: int) -> float:
     """(q; q)_n, saturating to (q; q)_infinity once factors stop mattering."""
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
     prefix = _qq_prefix(qv)
@@ -116,10 +144,9 @@ def qpoch_q_n(q, n: int) -> float:
 
 def qq_infinity(q) -> float:
     """(q; q)_infinity to double precision."""
-    return _qq_prefix(QParam.of(q).q)[-1]
+    return _qq_prefix(_valid_q(q))[-1]
 
 
-@lru_cache(maxsize=64)
 def _abs_aq2_constant(a_abs: float, q: float) -> float:
     """Upper bound for (-a q^2; q)_infinity with a >= 0.
 
@@ -141,7 +168,7 @@ def qpoch_finite(a, q, n: int):
     Raises OutOfRange for a non-finite a and for a product that leaves
     double range.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
     if not cmath.isfinite(a):
@@ -157,7 +184,7 @@ def qpoch_finite(a, q, n: int):
 
 
 def _log_poch(a, q: float):
-    """(head, sums) for (a; q)_infinity in log form, with q validated.
+    """(head, sums) for (a; q)_infinity in log form, for 0 <= q < 1.
 
     ``head`` is the product of the factors (1 - a q^k) for k < K, with
     K = ceil(log(|a| / _LOG_X0) / -log q), so |a q^K| <= _LOG_X0 up to
@@ -168,63 +195,72 @@ def _log_poch(a, q: float):
     and sums of 0.  Real a stays real.
 
     Raises NonConvergent for a non-finite |a| or more than _HARD_CAP head
-    factors, and OutOfRange for a head that leaves the normal double range
-    without a zero factor: it never stands in for a 0.
+    factors, OutOfRange for a head that leaves the normal double range
+    without a zero factor: it never stands in for a 0, and OverflowError for
+    |a| > _LOG_X0 at q = 0, a q^2 of theta_product's that underflowed.
     """
     a_abs = abs(a)
+    if a_abs > _LOG_X0 and q == 0.0:
+        raise OverflowError("q underflows to 0")
     steps = math.log(a_abs / _LOG_X0) / -math.log(q) if a_abs > _LOG_X0 else 0.0
     if not (math.isfinite(a_abs) and steps <= _HARD_CAP):
         raise NonConvergent(f"no certified truncation point for |a|={a_abs!r}, q={q!r}")
     big_k = math.ceil(steps)
-    one = complex(1.0) if isinstance(a, complex) else 1.0
-    head = one
+    head = complex(1.0) if isinstance(a, complex) else 1.0
     for k in range(big_k):
         head *= 1.0 - a * q**k      # q**k, not a running product: no drift over many factors
     b = a * q**big_k
     if not sys.float_info.min <= abs(head) < math.inf:
         if all(1.0 - a * q**k != 0.0 for k in range(big_k)):
             raise OutOfRange(f"(a; q)_inf leaves double range for a={a!r}, q={q!r}")
-        head = b = one - one    # an exact zero factor
-
-    def sums():
-        mag, omq = abs(b), 1.0 - q
-        scale = mag / (omq * (1.0 - mag))    # |b|^m / ((1 - q) (1 - |b|))
-        partial, bm, den = one - one, b, omq   # den = 1 - q^m, summed without cancellation
-        for m in count(1):
-            yield partial, scale / m           # M = m - 1 terms summed
-            partial -= bm / (m * den)
-            scale *= mag
-            bm *= b
-            den = omq + q * den
-
-    return head, sums()
+        head = b = b - b    # an exact zero factor, 0 of a's kind
+    return head, _log_sums(b, q)
 
 
-def _log_certify(heads, sums, tol: float) -> CertifiedValue | None:
-    """prod(heads) * exp(partial) at the first partial of ``sums`` certified to tol.
+def _log_sums(b, q: float):
+    """Partial sums of log (b; q)_inf = -sum_m b^m / (m (1 - q^m)) with their tail bounds; see ``_log_poch``."""
+    mag, omq = abs(b), 1.0 - q
+    scale = mag / (omq * (1.0 - mag))    # |b|^m / ((1 - q) (1 - |b|))
+    partial, bm, den = b - b, b, omq     # partial = 0 of b's kind; den = 1 - q^m, summed without cancellation
+    for m in count(1):
+        yield partial, scale / m           # M = m - 1 terms summed
+        partial -= bm / (m * den)
+        scale *= mag
+        bm *= b
+        den = omq + q * den
 
-    ``sums`` yields (partial, tail) with tail >= |log(rest) - partial|, so the
-    value is off by at most |value| expm1(tail); that bound, with
-    _NESTED_SLACK for its own rounding, is returned as ``tail_bound`` at the
-    first step where it is <= tol and <= tol |value|, so the value is certified
-    both absolutely and relatively.  A zero head is an exact zero factor and
-    gives 0 with tail 0; None means the value leaves the normal double range.
+
+def _product_steps(factors, q: float, tol: float, floor: float = 0.0):
+    """Steps of the product over a in ``factors`` of (a; q)_inf that certify to tol, for ``_certify``.
+
+    Each factor's head and log series come from ``_log_poch``; the log series
+    are summed in one pass and exponentiated once.  At a step whose log tail
+    is <= tol, the value prod(heads) * exp(partial) is off by at most
+    |value| expm1(tail); that bound, with _NESTED_SLACK for its own rounding,
+    is yielded (raised to ``floor``) once it is <= tol and <= tol |value|, so
+    the value is certified both absolutely and relatively.  A zero head is an
+    exact zero factor and gives 0 with tail ``floor``.  OverflowError for a
+    value outside the normal double range.
     """
+    if len(factors) == 1:   # qpoch_infinite's one factor, spared the zips that pair theta_product's three
+        head, sums = _log_poch(factors[0], q)
+        heads = (head,)
+    else:
+        heads, sums = zip(*[_log_poch(a, q) for a in factors])
+        sums = ((p1 + p2 + p3, t1 + t2 + t3) for (p1, t1), (p2, t2), (p3, t3) in zip(*sums))
     head = math.prod(heads)
     if 0.0 in heads:
-        return CertifiedValue(head, 0.0)
-    try:
-        for partial, tail in sums:
-            if tail <= tol:   # expm1(tail) >= tail
-                rel = math.expm1(tail) * (1.0 + _NESTED_SLACK)
-                value = head * (cmath.exp(partial) if isinstance(partial, complex) else math.exp(partial))
-                if rel * max(1.0, abs(value)) <= tol or not abs(value) < math.inf:
-                    break
-    except OverflowError:
-        return None
-    if not sys.float_info.min <= abs(value) < math.inf:
-        return None
-    return CertifiedValue(value, abs(value) * rel)
+        yield head, floor
+        return
+    for partial, tail in sums:
+        if tail <= tol:   # expm1(tail) >= tail
+            rel = math.expm1(tail) * (1.0 + _NESTED_SLACK)
+            value = head * (cmath.exp(partial) if isinstance(partial, complex) else math.exp(partial))
+            if rel * max(1.0, abs(value)) <= tol or not abs(value) < math.inf:
+                if not sys.float_info.min <= abs(value) < math.inf:
+                    raise OverflowError("product left the normal double range")
+                tail = abs(value) * rel
+                yield value, tail if tail > floor else floor   # max(), but cheaper on this path
 
 
 def qpoch_infinite(a, q, tol: float) -> CertifiedValue:
@@ -240,14 +276,9 @@ def qpoch_infinite(a, q, tol: float) -> CertifiedValue:
     Raises NonConvergent for a non-finite |a| or a head longer than the hard
     cap, and OutOfRange for a value outside the normal double range.
     """
-    qv = QParam.of(q).q
-    if not tol > 0.0:
-        raise OutOfRange(f"tol must be > 0, got {tol!r}")
-    head, sums = _log_poch(a, qv)
-    cv = _log_certify((head,), sums, tol)
-    if cv is None:
-        raise OutOfRange(f"(a; q)_inf leaves double range for a={a!r}, q={qv!r}")
-    return cv
+    qv = _valid_q(q)
+    return _certify(_product_steps((a,), qv, tol), tol, "(a; q)_inf", "a", a, qv,
+                    "{name} leaves double range for {var}={arg!r}, q={q!r}")
 
 
 @dataclass(frozen=True)
@@ -271,7 +302,7 @@ def poch_tail_remainders(a: float, q, n: int) -> PochTailRemainders:
     when n = 0) so that 1/(a q^n; q)_infinity exists; otherwise
     HypothesisViolated is raised.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if a < 0.0:
         raise OutOfRange(f"a must be >= 0, got {a!r}")
     if n < 0:

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadTau, DomainTooLarge, OutOfRange, PeakOverflow, ZeroArgument
-from .qcore import QParam, _qq_prefix, qpoch_q_n, qq_infinity
+from .qcore import _qq_prefix, _valid_q, qpoch_q_n, qq_infinity
 from .scaling import Scaling
 
 # Direct summation keeps the q**(n*n) dynamic range inside doubles up to
@@ -64,7 +64,7 @@ _UNDERFLOW = 1e-300
 
 def sw_direct(n: int, x, q) -> complex:
     """Degree-n sum: sum_{k=0}^n q^(k^2) (-x)^k / ((q; q)_k (q; q)_{n-k})."""
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if n < 0:
         raise DomainTooLarge(f"degree must be >= 0, got {n}")
     if n > _DIRECT_CAP:
@@ -86,7 +86,7 @@ def scaled_argument(z, n: int, scaling: Scaling, q) -> complex:
     Raises PeakOverflow when the magnitude leaves double range; large-n
     callers must work with the normalized evaluators instead.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if z == 0:
         raise ZeroArgument("scaled argument requires z != 0")
     lnq = math.log(qv)
@@ -103,7 +103,7 @@ def log_normalizer(n: int, z, scaling: Scaling, q) -> complex:
     This is the quantity ``sw_normalized`` implicitly divides out; only the
     small-degree reference path ever exponentiates it.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if z == 0:
         raise ZeroArgument("normalizer requires z != 0")
     lnq = math.log(qv)
@@ -118,7 +118,7 @@ def log_theta_normalizer(n: int, z, scaling: Scaling, q, m: int | None = None) -
     Multiplying ``sw_normalized`` by exp of this value yields the same fully
     normalized quantity that ``sw_theta_normalized`` computes directly.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if z == 0:
         raise ZeroArgument("normalizer requires z != 0")
     if m is None:
@@ -251,7 +251,12 @@ class _Rows:
         for name in self.names:
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
 
-    def sums(self) -> list[complex]:
+    def sums(self, what: str, ns: Sequence[int], zc: complex, qv: float) -> list[complex]:
+        """The sums in output order, output i from row i % len(ns); OutOfRange names the first row with a lost sum."""
+        lost = ~(np.isfinite(self.out_re) & np.isfinite(self.out_im))
+        if lost.any():
+            n = ns[int((np.flatnonzero(lost) % len(ns)).min())]
+            raise OutOfRange(f"{what} leaves double range at n={n} (|z| = {abs(zc)!r}, q = {qv!r})")
         return [complex(re, im) for re, im in zip(self.out_re.tolist(), self.out_im.tolist())]
 
 
@@ -261,7 +266,9 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
     A row's term k sits at j = half + sign*k and is weighted by
     1/((q;q)_j (q;q)_(n-j)).  Without qq2 the term is divided by that
     product; with qq2 it is multiplied by their ratio, which is asserted in
-    (0, 1], and the weighted term is asserted under ``bound(k, rows.wide)``.
+    (0, 1], and the weighted terms are asserted under ``bound(k, rows.wide)``
+    unless one left double range: its row's sum is then lost, and the
+    call reports that once the pass ends.
     The division and the ratio round differently, so each sum keeps its
     own.  The term then advances by w q^(2k+1), and a row retires when
     k_end <= k, or when k_break < k and its next term underflows.
@@ -274,7 +281,8 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
         ratio = qq2 / den
         assert 0.0 < ratio.min(initial=1.0) and ratio.max(initial=0.0) <= 1.0   # initial=: s1 may have no rows at k = 0
         c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
-        assert (np.hypot(c_re, c_im) <= bound(k, rows.wide)).all()
+        mag = np.hypot(c_re, c_im)
+        assert (mag <= bound(k, rows.wide)).all() or not np.isfinite(mag).all()
     rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
     # w * qodd, its two "* 0.0" products hoisted out of the loop
     wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd
@@ -292,7 +300,7 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
     ``_step`` as one wing, j = k for k up to n; a row may retire on
     underflow only past the term peak, at k_break = ceil(k*) + 1.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if z == 0:
         raise ZeroArgument("normalized evaluation requires z != 0")
     if min(ns, default=1) < 1:
@@ -329,10 +337,7 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
                 k += 1
     except FloatingPointError:
         raise OutOfRange(f"q = {qv!r} is too close to 1: (q;q)_k (q;q)_(n-k) underflows to 0") from None
-    lost = ~(np.isfinite(rows.out_re) & np.isfinite(rows.out_im))
-    if lost.any():
-        raise OutOfRange(f"reversed sum leaves double range at n={ns[int(lost.argmax())]} (q = {qv!r})")
-    return rows.sums()
+    return rows.sums("reversed sum", ns, zc, qv)
 
 
 def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling, q) -> list[SplitSumResult]:
@@ -345,7 +350,7 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     k = 0, s2 (j = m//2 + k) joining at k = 1, so all live rows share k and
     its term bound.
     """
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     tau = scaling.tau.value
     if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
         raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")
@@ -391,14 +396,15 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
     s2 = wing(w2, [w * qv for w in w2], k_end=n - half, sign=np.full(size, 1), qodd=np.full(size, qv**3))
     step = partial(_step, weights=np.array(prefix), qv=qv, qq2=qq2, bound=bound)
     s1.retire(s1.k_end < 0)               # an empty range sums to 0
-    step(s1, 0)
-    s2.retire(s2.k_end < 1)
-    s1.join(s2)
-    k = 1
-    while s1.pos.size:
-        step(s1, k)
-        k += 1
-    sums = s1.sums()
+    with np.errstate(all="ignore"):       # a term or sum past double range is reported once the pass ends
+        step(s1, 0)
+        s2.retire(s2.k_end < 1)
+        s1.join(s2)
+        k = 1
+        while s1.pos.size:
+            step(s1, k)
+            k += 1
+    sums = s1.sums("split sum", ns, zc, qv)
     return [
         SplitSumResult(value=a + b, m=m, c_n=c, d_n=d, chi_m=m - 2 * (m // 2), s1=a, s2=b)
         for (m, c, d), a, b in zip(setups, sums[:size], sums[size:])

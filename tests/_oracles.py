@@ -21,7 +21,7 @@ import math
 import sys
 
 from swigert.errors import BadTau, DomainTooLarge, PeakOverflow, ZeroArgument
-from swigert.qcore import QParam, qpoch_q_n, qq_infinity
+from swigert.qcore import _valid_q, qpoch_q_n, qq_infinity
 from swigert.scaling import Scaling
 from swigert.swpoly import SplitSumResult
 
@@ -102,7 +102,7 @@ def normalized_reference(n: int, z, tau: float, theta: float, q: float) -> compl
 
 def reversed_sum(n: int, z, scaling: Scaling, q) -> complex:
     """The reversed sum of ``sw_normalized`` as one scalar loop over k."""
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     if z == 0:
         raise ZeroArgument("normalized evaluation requires z != 0")
     if n < 1:
@@ -142,7 +142,7 @@ def term_bound(k: int, log_mag: float, log_q: float, guard_pow: float) -> float:
 
 def split_sum(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumResult:
     """The split sum of ``sw_theta_normalized`` as one scalar loop over k per wing."""
-    qv = QParam.of(q).q
+    qv = _valid_q(q)
     tau = scaling.tau.value
     if not (-2.0 < tau < 0.0) or (scaling.tau.is_rational and not (-2 < scaling.tau.fraction < 0)):
         raise BadTau(f"split evaluation requires -2 < tau < 0, got {tau!r}")

@@ -84,6 +84,15 @@ class TestEval:
     def test_nan_input_exits_2(self, capsys, argv, message):
         assert_usage_error(*run(capsys, "eval", *argv)[::2], message)
 
+    @pytest.mark.parametrize("n", ["abc", "1.5", "", "-1"])
+    def test_bad_qpoch_order_names_the_flag(self, capsys, n):
+        code, _, err = run(capsys, "eval", "qpoch", "--a", "0.5", "--q", "0.5", "--n", n)
+        assert_usage_error(code, err, f"eval qpoch --n takes a nonnegative integer or 'inf', got {n!r}")
+
+    def test_theta_product_at_infinite_tol(self, capsys):
+        code, out, _ = run(capsys, "eval", "theta_product", "--z", "1", "--q", "0.5", "--tol", "inf")
+        assert code == 0 and 0.0 < json.loads(out)["tail_bound"] < math.inf
+
 
 # Each once looped forever on an infinite |a| (the last one's -q/z overflows): run in a child with a timeout.
 @pytest.mark.parametrize("argv", [
@@ -637,6 +646,11 @@ OUT_OF_DOUBLE_RANGE = [
       "--nmin", "200", "--nmax", "203"], "reversed sum leaves double range at n=200"),
     (["eval", "qpoch", "--a", "0.999", "--q", "0.999", "--n", "inf"], "(a; q)_inf leaves double range for a=0.999"),
     (["eval", "theta_product", "--z", "-1", "--q", "0.999"], "leaves double range"),
+    (["verify", "--case", "4", "--q", "0.5", "--z-re", "1e-30", "--tau", "-1/2", "--theta", "1/4",
+      "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "40"], "split sum leaves double range at n=17 (|z| = 1e-30"),
+    (["verify", "--case", "4", "--q", "0.5", "--z-re", "1e300", "--tau", "-1/2", "--theta", "1/4",
+      "--lambda", "1/2", "--lambda1", "1/4", "--nmax", "40"], "split sum leaves double range at n=9 (|z| = 1e+300"),
+    (["eval", "theta_product", "--z", "1e300", "--q", "1e-300"], "theta product leaves double range (|z|=1e+300, q=1e-300)"),
 ]
 
 

@@ -10,7 +10,6 @@ import swigert
 from swigert.errors import HypothesisViolated, OutOfRange
 from swigert.qcore import (
     CertifiedValue,
-    QParam,
     poch_tail_remainders,
     qpoch_finite,
     qpoch_infinite,
@@ -23,13 +22,8 @@ from _oracles import qpoch_inf_mp, qpoch_inf_product
 class TestQParam:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.5, float("nan")])
     def test_rejects_outside_open_interval(self, bad):
-        with pytest.raises(OutOfRange):
-            QParam(bad)
-
-    def test_of_passthrough(self):
-        p = QParam(0.5)
-        assert QParam.of(p) is p
-        assert QParam.of(0.25).q == 0.25
+        with pytest.raises(OutOfRange, match=rf"q must lie strictly inside \(0, 1\), got {bad!r}"):
+            qq_infinity(bad)
 
 
 class TestCertifiedValue:
@@ -148,6 +142,11 @@ class TestQpochInfinite:
         # a NaN tol is refused at entry, not after the factor cap
         with pytest.raises(OutOfRange, match="tol must be > 0, got nan"):
             qpoch_infinite(0.5, 0.5, math.nan)
+        # and before any factor runs, so a bad argument does not mask it
+        with pytest.raises(OutOfRange, match="tol must be > 0, got 0.0"):
+            qpoch_infinite(math.inf, 0.5, 0.0)
+        with pytest.raises(OutOfRange, match="tol must be > 0, got -1.0"):
+            qpoch_infinite(0.999, 0.999, -1.0)
 
 
 class TestPochTailRemainders:

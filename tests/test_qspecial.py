@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swigert.errors import OutOfRange, ZeroArgument
+from swigert.qcore import qpoch_infinite
 from swigert.qspecial import (
     Aq_derivative,
     Bq,
@@ -185,6 +186,20 @@ class TestThetaProduct:
         with pytest.raises(OutOfRange, match="leaves double range"):
             theta_product(-1.0, 0.999)
 
+    def test_infinite_tol_certifies(self):
+        # the tail floor tol * 2^-53 applies to a finite tol only; at tol = inf the truncation bound stands
+        cv = theta_product(1.0, 0.5, math.inf)
+        assert 0.0 < cv.tail_bound < math.inf
+        assert abs(cv.value - theta_product(1.0, 0.5, 1e-13).value) <= cv.tail_bound
+
+    def test_underflowing_q_squared_rejected(self):
+        # q^2 = 1e-600 rounds to 0, and the factor -q z = -1 would need log 0 to find its head
+        with pytest.raises(OutOfRange) as exc:
+            theta_product(1e300, 1e-300)
+        assert str(exc.value) == "theta product leaves double range (|z|=1e+300, q=1e-300)"
+        # without a factor beyond 1/8, q^2 = 0 still gives the value
+        assert theta_product(1.0, 1e-300).value == 1.0
+
 
 # (z, q, tol) -> repr of the values, then of the tail bounds, of A_q(z), B_q(|z|), theta(z), A_q'(z): a change
 # that moves any bit of a series value or of its certificate, or a new guard that refuses a point the loops
@@ -244,6 +259,34 @@ def test_series_values_pinned(z, q, tol, expected):
     assert (tuple(repr(cv.value) for cv in values), tuple(repr(cv.tail_bound) for cv in values)) == expected
 
 
+# (function, a or z, q, tol) -> repr of the value and of the tail bound, as for PINNED: real and complex
+# arguments, q from 0.05 to 0.99, an exact zero factor (1 - 4 q^2 at q = 1/2, and 1 + q z at z = -2 for
+# theta), theta_4 near q = 0.99 (8.5e-106) and a theta of 1e-68 near its zero.
+PINNED_PRODUCTS = [
+    (qpoch_infinite, 0.5, 0.5, 1e-12, ('0.28878809508664816', '9.236087645413545e-14')),
+    (qpoch_infinite, -0.3, 0.05, 1e-15, ('1.3205417496884395', '4.520977919045728e-16')),
+    (qpoch_infinite, (0.4-0.7j), 0.8, 1e-10, ('(-0.17889258828399854-0.2415767344679312j)', '3.649550811865454e-12')),
+    (qpoch_infinite, 1.5, 0.9, 1e-08, ('1.0867362736611101e-10', '6.893336698689952e-19')),
+    (qpoch_infinite, (-1.2+0.3j), 0.97, 1e-13, ('(83139011837568.92-20358992767496.15j)', '4.4129398640788184e-14')),
+    (qpoch_infinite, 0.7, 0.99, 1e-12, ('2.022934774502228e-39', '4.006738110154611e-52')),
+    (qpoch_infinite, 4.0, 0.5, 1e-12, ('0.0', '0.0')),
+    (theta_product, 0.5, 0.5, 1e-12, ('(2.531740190462413+0j)', '9.824444968497571e-13')),
+    (theta_product, (0.3+0.9j), 0.7, 1e-15, ('(0.9920336556223444-0.09176648543125329j)', '1.8805043419327607e-16')),
+    (theta_product, 2.0, 0.05, 1e-08, ('(1.1250265638074837+0j)', '1.5664750913820881e-09')),
+    (theta_product, (-0.669448+0.031347j), 0.9853136075567454, 1e-10,
+     ('(-5.957098040860111e-69+9.60896760166326e-69j)', '1.1102230246251566e-26')),
+    (theta_product, -1.0, 0.99, 1e-12, ('(8.459276341621047e-106+0j)', '1.1102230246251565e-28')),
+    (theta_product, 1.7, 0.9, 1e-14, ('(10.650967565124295+0j)', '3.1237737711801126e-15')),
+    (theta_product, -2.0, 0.5, 1e-12, ('0j', '1.1102230246251565e-28')),
+]
+
+
+@pytest.mark.parametrize("product,a,q,tol,expected", PINNED_PRODUCTS)
+def test_product_values_pinned(product, a, q, tol, expected):
+    cv = product(a, q, tol)
+    assert (repr(cv.value), repr(cv.tail_bound)) == expected
+
+
 # Sums that leave double range raise OutOfRange naming the argument: (q;q)_inf underflowing to 0, a
 # power |z|^k overflowing, or terms summing to inf or nan although every power stayed finite.  The
 # CLI tests cover A_q, B_q and theta_series at the first two.
@@ -280,6 +323,10 @@ def test_theta_series_did_not_certify():
     (Aq_derivative, (complex(math.nan, 1.0), 0.5), "derivative series argument must be finite, got |z|=nan"),
     (theta_series, (math.nan, 0.5), "theta series argument must be finite, got |z|=nan"),
     (theta_series, (-math.inf, 0.5), "theta series argument must be finite, got |z|=inf"),
+    # tol is refused first, before the argument is checked or any product factor runs
+    (ramanujan_Aq, (math.nan, 0.5, -1.0), "tol must be > 0, got -1.0"),
+    (theta_product, (1e300, 1e-300, 0.0), "tol must be > 0, got 0.0"),
+    (theta_product, (math.inf, 0.5, math.nan), "tol must be > 0, got nan"),
 ])
 def test_non_finite_input_refused(series, args, message):
     with pytest.raises(OutOfRange) as exc:

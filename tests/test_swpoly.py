@@ -429,6 +429,19 @@ class TestBatchKernels:
         with pytest.raises(OutOfRange, match="at n=250 "):
             _reversed_sums([150, 250, 199], z, sc, q)
 
+    @pytest.mark.parametrize("z,last_finite", [(1e-30, 14), (1e300, 7), (1e300j, 7)])
+    def test_split_term_beyond_double_range_names_its_row(self, z, last_finite):
+        # max(|z|, 1/|z|)^k overflows a wing's terms to inf and then nan: the first lost row in row order
+        # is named, with no numpy warning, and the rows that stay finite keep the scalar loop's bits
+        sc, q = make_scaling("-1/2", "1/4"), 0.5
+        with pytest.raises(OutOfRange) as exc:
+            sw_theta_normalized(17, z, sc, q)
+        assert str(exc.value) == f"split sum leaves double range at n=17 (|z| = {abs(z)!r}, q = 0.5)"
+        with pytest.raises(OutOfRange, match="at n=40 "):
+            _split_sums([3, 40, 17], None, z, sc, q)
+        ns = range(1, last_finite + 1)
+        assert _split_sums(ns, None, z, sc, q) == [split_sum(n, z, sc, q) for n in ns]
+
     def test_split_ratio_stays_in_unit_interval(self):
         # both wing indices of the row reach the saturated prefix tail, where p**2 rounds one ulp
         # above p*p: with qq2 formed as p*p the ratio asserts hold
