@@ -4,6 +4,16 @@ Numbers are rendered as their shortest round-trip decimal (so reports are
 diff-able and re-parse to the exact same doubles), complex values as paired
 re/im columns, booleans as lowercase words.  All files use '\\n' line
 endings and a '.' decimal separator regardless of locale.
+
+Sweep rows are rendered from fixed per-row templates, because they are the
+bulk of a report.  ``rows_to_json`` writes the bytes of
+``json.dumps(..., indent=2, sort_keys=True)``: each scalar is a cell of json's
+own compact encoding (float repr, NaN/Infinity/-Infinity, true/false/null,
+int repr) placed into a template that holds the sorted keys and the
+indentation.  ``rows_to_csv`` writes each row with one f-string in the order
+of ``_ROW_COLUMNS``, each cell as ``fmt`` writes it.  The tests compare
+both, byte for byte, with direct renderers: ``json.dumps`` of a dict per
+row, and one text per cell.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from typing import Sequence
 from .asymptotics import _PARAM_NAMES, CaseParams, CaseVerificationRow, VerificationSummary
 from .diophantine import DiophantineWitness, PairedWitness
 
-# The row schema, in column order: (column, getter); a missing value is None.
+# The row schema, in column order: (column, getter); a missing value is None.  ROW_HEADER and
+# the JSON template are built from it; rows_to_csv spells its cells out in one f-string, so a
+# column added or moved here is added or moved there too (tests/test_report.py checks both).
 _ROW_COLUMNS = (
     ("n", attrgetter("n")),
     ("lhs_re", attrgetter("lhs.real")),
@@ -34,6 +46,10 @@ _ROW_COLUMNS = (
 
 ROW_HEADER = ",".join(column for column, _ in _ROW_COLUMNS)
 
+# One JSON row: the columns in key order, each value a cell of json's own compact encoding.
+_JSON_COLUMNS = sorted(_ROW_COLUMNS)
+_JSON_ROW = "  {{\n" + ",\n".join(f'    "{column}": {{}}' for column, _ in _JSON_COLUMNS) + "\n  }}"
+
 WITNESS_HEADER = "n,m,residual"
 PAIRED_WITNESS_HEADER = "n,m,residual,m1,residual2"
 
@@ -49,14 +65,20 @@ def fmt(x) -> str:
 
 def rows_to_csv(rows: Sequence[CaseVerificationRow]) -> str:
     lines = [ROW_HEADER]
-    for r in rows:
-        lines.append(",".join(["" if (v := get(r)) is None else fmt(v) for _, get in _ROW_COLUMNS]))
+    for r in rows:   # the cells of _ROW_COLUMNS in its order, each as fmt writes it
+        w = r.witness
+        lines.append(f"{r.n},{r.lhs.real!r},{r.lhs.imag!r},{r.main.real!r},{r.main.imag!r},{r.abs_err!r},{r.bound!r},"
+                     f"{'true' if r.within else 'false'},{r.nu_n}," + ("," if w is None else f"{w.m},{w.residual!r}"))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Sequence[CaseVerificationRow]) -> str:
-    payload = [{column: get(r) for column, get in _ROW_COLUMNS} for r in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The rows as ``json.dumps(..., indent=2, sort_keys=True)`` writes them, from a fixed per-row template."""
+    if not rows:
+        return "[]\n"
+    cells = json.dumps([get(r) for r in rows for _, get in _JSON_COLUMNS])[1:-1].split(", ")
+    width = len(_JSON_COLUMNS)
+    return "[\n" + ",\n".join(_JSON_ROW.format(*cells[i:i + width]) for i in range(0, len(cells), width)) + "\n]\n"
 
 
 def witnesses_to_csv(witnesses: Sequence[DiophantineWitness | PairedWitness]) -> str:

@@ -33,6 +33,24 @@ CPython's in the last bit for a large share of inputs.  Per-row setup (the
 orbit splits, ``cmath.exp``, ``q**x``, the peak check) stays scalar Python,
 because ``np.exp`` and ``np.power`` do not promise CPython's bits either; it
 is O(rows), the summation O(rows * k).
+
+A row leaves the pass as soon as no later term can change a bit of its sum,
+which in double precision comes about four times sooner than the 1e-300
+underflow of its term; the sum is then the one the loop to underflow gives.
+Past its ``k_break``, after the step that formed term t_(k+1), a row
+retires when r = |w| q^(2k+3) <= 1/2, so every later term is smaller than
+t_(k+1), and when B = |t_(k+1)| (1 + 2^-40) / lo is below a quarter of
+``np.spacing`` of |s_re| and of |s_im|.  lo bounds the weights from below:
+1 for the split sum, whose weight ratios are asserted <= 1, and (q;q)_inf^2
+less 1e-12 relative for the reversed sum's products (q;q)_j (q;q)_(n-j).
+Every later weighted term c then has |c| <= B < ulp(s)/4, and the gap
+between s and its neighbours is at least ulp(s)/2 (only half an ulp below
+a power of two), so fl(s + c) = s term by term.  A zero sum component has
+a subnormal spacing and so never passes: such a row, an exactly real one
+among them, runs to underflow.  Where (q;q)_inf^2 underflows (the reversed
+sum near q = 1) there is no lo, and rows retire on underflow alone.  The
+spacing test runs only on steps where some row past its k_break has
+r <= 1/2, so steps before that pay only for the r check.
 """
 
 from __future__ import annotations
@@ -214,7 +232,7 @@ def _parts(values) -> tuple:
 class _Rows:
     """The live rows of a vector pass: their output positions, per-row arrays and shared scalars.
 
-    Every row holds its ratio w, its current term t and its sum s, each a
+    Every row holds its ratio w (and |w|), its current term t and its sum s, each a
     real and imaginary float64 array; ``fields`` adds the pass's own
     values, a scalar where every row shares it.  ``retire`` stores the sums
     of the rows that just finished and drops those rows from every per-row
@@ -225,6 +243,7 @@ class _Rows:
         self.w_re, self.w_im = _parts(w)
         self.wz_re, self.wz_im = self.w_re * 0.0, self.w_im * 0.0
         self.t_re, self.t_im = _parts(term)
+        self.w_abs = np.hypot(self.w_re, self.w_im)
         size = len(w)
         self.s_re, self.s_im = np.zeros(size), np.zeros(size)
         vars(self).update(fields)
@@ -271,7 +290,10 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
     call reports that once the pass ends.
     The division and the ratio round differently, so each sum keeps its
     own.  The term then advances by w q^(2k+1), and a row retires when
-    k_end <= k, or when k_break < k and its next term underflows.
+    k_end <= k, or when k_break < k and either its next term underflows or
+    no later term can change its sum: the module docstring gives that rule,
+    which reads ``rows.slack`` = (1 + 2^-40) / lo (None where there is no lo)
+    and compares 4 B with the spacing of the sum's smaller component.
     """
     j = rows.half + rows.sign * k
     den = weights.take(j, mode="clip") * weights.take(rows.n - j, mode="clip")
@@ -288,7 +310,14 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
     wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd
     rows.t_re, rows.t_im = _mul(rows.t_re, rows.t_im, wq_re, wq_im)
     rows.qodd = rows.qodd * (qv * qv)
-    rows.retire((rows.k_end <= k) | ((rows.k_break < k) & (np.hypot(rows.t_re, rows.t_im) < _UNDERFLOW)))
+    mag = np.hypot(rows.t_re, rows.t_im)
+    past = rows.k_break < k
+    done = past & (mag < _UNDERFLOW)
+    if rows.slack is not None:
+        final = past & (rows.w_abs * rows.qodd <= 0.5)   # every later term shrinks
+        if final.any():
+            done |= final & (4.0 * rows.slack * mag < np.spacing(np.minimum(np.abs(rows.s_re), np.abs(rows.s_im))))
+    rows.retire((rows.k_end <= k) | done)
 
 
 def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
@@ -321,11 +350,12 @@ def _reversed_sums(ns: Sequence[int], z, scaling: Scaling, q) -> list[complex]:
         k_breaks.append(int(math.ceil(max(k_star, 0.0))) + 1)
     prefix = _qq_prefix(qv)
     n = np.array(ns, dtype=np.int64)
-    rows = _Rows(bases, [complex(1.0)] * len(ns), n=n, k_end=n, k_break=np.array(k_breaks, dtype=np.int64),
-                 half=0, sign=1, qodd=qv)
     # Each weight product is >= (q;q)_inf^2; where that underflows to 0, a product may
     # vanish or be subnormal, and the first non-finite step raises instead of warning.
     may_vanish = prefix[-1] ** 2 == 0.0
+    slack = None if may_vanish else (1.0 + 2.0**-40) / (prefix[-1] ** 2 * (1.0 - 1e-12))
+    rows = _Rows(bases, [complex(1.0)] * len(ns), n=n, k_end=n, k_break=np.array(k_breaks, dtype=np.int64),
+                 half=0, sign=1, qodd=qv, slack=slack)
     weights = np.array(prefix)
     # Elsewhere a divided term may still leave double range; the pass runs quietly and its
     # sums are checked once at the end.
@@ -391,7 +421,7 @@ def _split_sums(ns: Sequence[int], ms: Sequence[int] | None, z, scaling: Scaling
         tight = _term_bound(k, log_mag, log_q, 2.0)
         return np.where(wide, _term_bound(k, log_mag, log_q, 3.0), tight) if any_wide else tight
 
-    wing = partial(_Rows, n=n, half=half, wide=wide, k_break=2)
+    wing = partial(_Rows, n=n, half=half, wide=wide, k_break=2, slack=1.0 + 2.0**-40)
     s1 = wing(w1, [complex(1.0)] * size, k_end=half, sign=np.full(size, -1), qodd=np.full(size, qv))
     s2 = wing(w2, [w * qv for w in w2], k_end=n - half, sign=np.full(size, 1), qodd=np.full(size, qv**3))
     step = partial(_step, weights=np.array(prefix), qv=qv, qq2=qq2, bound=bound)

@@ -6,6 +6,11 @@ independent of the evaluators they validate.  Term counts are chosen so the
 neglected tails sit far below double precision for the arguments used in
 the tests.
 
+``report_json`` and ``report_csv`` render a sweep report the direct way: a
+dict per row through ``json.dumps``, and one text per cell.  The package
+renders both from fixed per-row templates that must match them byte for
+byte.
+
 The exceptions are ``reversed_sum`` and ``split_sum``, the scalar k-loops of
 the two normalized Stieltjes-Wigert sums.  They are the references the batch
 kernels in ``swigert.swpoly`` must match bit for bit, so they keep the
@@ -17,6 +22,7 @@ k and fail with the same error.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import sys
 
@@ -184,3 +190,28 @@ def split_sum(n: int, z, scaling: Scaling, q, m: int | None = None) -> SplitSumR
     s1 = wing(range(half + 1), -1, w1, complex(1.0), qv)
     s2 = wing(range(1, n - half + 1), 1, w2, w2 * qv, qv**3)
     return SplitSumResult(value=s1 + s2, m=m, c_n=c, d_n=d, chi_m=chi, s1=s1, s2=s2)
+
+
+def report_cells(row) -> dict:
+    """A sweep row's report columns, in column order; a missing witness value is None."""
+    w = row.witness
+    return {
+        "n": row.n, "lhs_re": row.lhs.real, "lhs_im": row.lhs.imag, "main_re": row.main.real,
+        "main_im": row.main.imag, "abs_err": row.abs_err, "bound": row.bound, "within": row.within,
+        "nu_n": row.nu_n, "witness_m": None if w is None else w.m, "witness_residual": None if w is None else w.residual,
+    }
+
+
+def report_json(rows) -> str:
+    return json.dumps([report_cells(r) for r in rows], indent=2, sort_keys=True) + "\n"
+
+
+def report_csv(rows, header: str) -> str:
+    def text(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "\n".join([header] + [",".join(map(text, report_cells(r).values())) for r in rows]) + "\n"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swigert import swpoly
+from swigert.asymptotics import CaseParams, verify
 from swigert.errors import (
     BadTau,
     DomainTooLarge,
@@ -450,6 +453,78 @@ class TestBatchKernels:
         assert p**2 > p * p
         got = _split_sums([1000], None, 1.0, sc, q)[0]
         assert got == split_sum(1000, 1.0, sc, q)
+
+
+def assert_kernel_equals_scalar(kernel, evaluate, count) -> None:
+    """The batch kernel gives the scalar loop's bits on every row, or the error the scalar rows give.
+
+    Where a weight product underflows to 0 the scalar loop divides by zero, and where a sum leaves
+    double range it returns it; the kernel raises OutOfRange for both.
+    """
+    refs, error = scalar_rows(evaluate, count)
+    parts = (lambda v: [v]) if refs and isinstance(refs[0], complex) else (lambda v: [v.s1, v.s2])
+    if error is not None and not isinstance(error, ZeroDivisionError):
+        assert_raises_like(kernel, error)
+    elif error is not None or not all(cmath.isfinite(p) for v in refs for p in parts(v)):
+        with pytest.raises(OutOfRange):
+            kernel()
+    else:
+        assert [list(map(bits, parts(v))) for v in kernel()] == [list(map(bits, parts(v))) for v in refs]
+
+
+class TestRetirement:
+    """A row leaves the pass once no later term can change its sum, and its bits stay those of a loop
+    that sums until the term underflows (the scalar oracles)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kernels_equal_scalar_loops(self, seed):
+        # real rows (z real, theta 0), q >= 0.9957 where (q;q)_inf^2 underflows, |z| at 1e-3 and 1e3
+        rng = random.Random(seed)
+        for _ in range(30):
+            q = rng.choice((rng.uniform(0.05, 0.95), rng.uniform(0.9957, 0.999)))
+            r = rng.choice((1e-3, 1e3, math.exp(rng.uniform(-3.0, 3.0))))
+            real = rng.random() < 0.5
+            z = rng.choice((r, -r)) if real else cmath.rect(r, rng.uniform(0.0, 2 * math.pi))
+            theta = "0" if real else rng.choice(KERNEL_THETAS)
+            ns = [rng.randint(1, 3000) for _ in range(rng.randint(1, 6))]
+            sc = make_scaling(rng.choice(REVERSED_TAUS), theta)
+            assert_kernel_equals_scalar(lambda: _reversed_sums(ns, z, sc, q),
+                                        lambda i: reversed_sum(ns[i], z, sc, q), len(ns))
+            sc = make_scaling(rng.choice(SPLIT_TAUS), theta)
+            q = q if q < 0.99 else rng.uniform(0.05, 0.95)   # (q;q)_inf^2 underflows at the larger q
+            assert_kernel_equals_scalar(lambda: _split_sums(ns, None, z, sc, q),
+                                        lambda i: split_sum(ns[i], z, sc, q), len(ns))
+
+    # Rows one of whose sum components sits exactly on a power of two, the smaller one in magnitude,
+    # when a later term that pulls it toward 0 by between a quarter and a half of an ulp is still to
+    # come: the gap below a power of two is half an ulp, so that term moves the sum, and a half-ulp
+    # retirement rule would lose it.
+    def test_reversed_sum_on_a_power_of_two(self):
+        sc, q, z = make_scaling("0", "0"), 0.4, -0.24582968164871483 + 0.23272483995449633j
+        (got,) = _reversed_sums([2000], z, sc, q)
+        ref = reversed_sum(2000, z, sc, q)
+        assert bits(got) == bits(ref) and ref.imag == math.nextafter(4.0, 0.0)
+
+    def test_split_sum_on_a_power_of_two(self):
+        sc, q, z = make_scaling("-1/2", "1/4"), 0.2, 2.7574589401736813 - 1.9067359335553253j
+        (got,) = _split_sums([101], None, z, sc, q)
+        ref = split_sum(101, z, sc, q)
+        assert (bits(got.s1), bits(got.s2)) == (bits(ref.s1), bits(ref.s2))
+        assert ref.s1.imag == math.nextafter(0.25, 0.0)
+
+    def test_case4_sweep_work(self, monkeypatch):
+        # 200 rows at q = 0.5: a pass that sums every row to underflow takes 32 steps and 11 939 row-steps
+        live = []
+
+        def counting_step(rows, k, *args, **kwargs):
+            live.append(rows.pos.size)
+            return step(rows, k, *args, **kwargs)
+
+        step = swpoly._step
+        monkeypatch.setattr(swpoly, "_step", counting_step)
+        params = CaseParams(4, make_scaling("-1/2", "1/4"), lambda_=Fraction(1, 2), lambda1=Fraction(1, 4))
+        assert len(verify(params, 1.0 + 0.5j, 0.5, range(1, 801))) == 200
+        assert len(live) <= 32 // 2 and sum(live) <= 11_939 // 2
 
 
 # A pair whose complex128 product from numpy differs from CPython's in the last
