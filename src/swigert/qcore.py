@@ -4,7 +4,10 @@ Everything in this package lives in the regime 0 < q < 1, where infinite
 q-products converge geometrically and every truncation admits an explicit
 remainder bound.  This module supplies the finite products, the certified
 infinite products, and the pair of tail remainders (with their rigorous
-bounds) that the higher-level evaluators consume.
+bounds) that the higher-level evaluators consume.  The constants of those
+bounds are real products (x; q)_inf taken to saturation by ``_sat_poch``;
+where a bound or a remainder leaves double range near q = 1, the
+remainders are refused with OutOfRange.
 
 The partial products (q; q)_j are held as one saturating tuple per q in a
 small bounded cache, ``_qq_prefix``.  That tuple is the per-q context: an
@@ -20,7 +23,8 @@ One loop, ``_certify``, certifies every value of the package: the four
 q-series of ``qspecial`` and the two products here.  Each evaluator hands it
 an unstarted generator of (value, tail bound) steps; the loop refuses a tol
 that is not > 0 before the generator runs, and returns the first step whose
-tail is within tol.
+tail is within tol.  The entire series of ``qspecial`` (A_q, B_q and A_q',
+one generator) and the products are handed tol and yield only such steps.
 
 Infinite products are certified in log space.  ``_product_steps`` (for
 ``qpoch_infinite`` and ``qspecial.theta_product``) multiplies out the
@@ -147,18 +151,13 @@ def qq_infinity(q) -> float:
     return _qq_prefix(_valid_q(q))[-1]
 
 
-def _abs_aq2_constant(a_abs: float, q: float) -> float:
-    """Upper bound for (-a q^2; q)_infinity with a >= 0.
-
-    Computed to saturation and inflated by 1e-12 relative so it can serve as
-    a rigorous constant inside tail certificates.
-    """
+def _sat_poch(x: float, q: float) -> float:
+    """(x; q)_infinity for real x: the factors (1 - x q^k) multiplied until |x q^k| <= _SAT_EPS."""
     p = 1.0
-    f = a_abs * q * q
-    while f > _SAT_EPS:
-        p *= 1.0 + f
-        f *= q
-    return p * (1.0 + 1e-12)
+    while abs(x) > _SAT_EPS:
+        p *= 1.0 - x
+        x *= q
+    return p
 
 
 def qpoch_finite(a, q, n: int):
@@ -300,10 +299,11 @@ def poch_tail_remainders(a: float, q, n: int) -> PochTailRemainders:
 
     Requires a >= 0.  The R2 branch additionally needs a*q < 1 (and a < 1
     when n = 0) so that 1/(a q^n; q)_infinity exists; otherwise
-    HypothesisViolated is raised.
+    HypothesisViolated is raised.  Near q = 1, where a bound or R2 leaves
+    double range, OutOfRange names a, q and n.
     """
     qv = _valid_q(q)
-    if a < 0.0:
+    if not a >= 0.0:
         raise OutOfRange(f"a must be >= 0, got {a!r}")
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
@@ -311,17 +311,13 @@ def poch_tail_remainders(a: float, q, n: int) -> PochTailRemainders:
         raise HypothesisViolated(f"R2 needs a*q < 1 (and a < 1 at n=0): a={a!r}, q={qv!r}, n={n}")
 
     aqn = a * qv**n
-    r1_bound = _abs_aq2_constant(a, qv) * aqn / (1.0 - qv)
-    # R2 bound denominator: (a q; q)_infinity for n >= 1 (the n-free form);
-    # at n = 0 that majorization flips, so fall back to (a; q)_infinity,
-    # which the same expansion still dominates.  Deflate so dividing keeps
-    # the bound rigorous.
-    p = 1.0
-    f = a * qv if n >= 1 else a
-    while f > _SAT_EPS:
-        p *= 1.0 - f
-        f *= qv
-    r2_bound = aqn / ((1.0 - qv) * p * (1.0 - 1e-12))
+    # R1 bound constant: (-a q^2; q)_infinity, inflated by 1e-12 relative to
+    # stay a rigorous upper bound.  R2 bound denominator: (a q; q)_infinity for
+    # n >= 1 (the n-free form); at n = 0 that majorization flips, so fall
+    # back to (a; q)_infinity, which the same expansion still dominates.
+    # Deflate so dividing keeps the bound rigorous.
+    r1_bound = _sat_poch(-a * qv * qv, qv) * (1.0 + 1e-12) * aqn / (1.0 - qv)
+    den = (1.0 - qv) * _sat_poch(a * qv if n >= 1 else a, qv) * (1.0 - 1e-12)
 
     # Actuals through log1p/expm1 so remainders keep full relative accuracy
     # even far below one ulp of 1, where plain products quantize.
@@ -330,6 +326,11 @@ def poch_tail_remainders(a: float, q, n: int) -> PochTailRemainders:
     while f > 1e-20 * (1.0 + abs(log_sum)):
         log_sum += math.log1p(-f)
         f *= qv
-    r1 = math.expm1(log_sum)
-    r2 = math.expm1(-log_sum)
-    return PochTailRemainders(R1=r1, R1_bound=r1_bound, R2=r2, R2_bound=r2_bound)
+    try:
+        r2_bound = aqn / den
+        r2 = math.expm1(-log_sum)
+    except (ZeroDivisionError, OverflowError):   # den underflowed to 0, or R2 left double range
+        raise OutOfRange(f"remainders or their bounds leave double range for a={a!r}, q={qv!r}, n={n}") from None
+    if not (r1_bound < math.inf and r2_bound < math.inf):
+        raise OutOfRange(f"remainders or their bounds leave double range for a={a!r}, q={qv!r}, n={n}")
+    return PochTailRemainders(R1=math.expm1(log_sum), R1_bound=r1_bound, R2=r2, R2_bound=r2_bound)

@@ -12,6 +12,13 @@ geometric tail bounds that refuses a non-finite argument when it starts, and
 the loop returns the first finite sum whose bound is within tol, with that
 bound as ``tail_bound``.  ``theta_product`` hands the loop the product steps
 of ``qcore``.
+
+A_q, B_q and the derivative share one generator, ``_entire_sums``: its shift
+0 is the series of A_q and B_q, and its shift 1 is the derivative of that
+series in w, the same series one index on, so A_q'(z) is minus its value at
+w = -z.  The shift sets only the start state and a multiplier, so the loop
+has no branch on it.  Given tol, the generator yields only the steps whose
+tail is within it.
 """
 
 from __future__ import annotations
@@ -23,58 +30,43 @@ from .errors import OutOfRange, ZeroArgument
 from .qcore import _MAX_TERMS, CertifiedValue, _certify, _product_steps, _qq_prefix, _valid_q
 
 
-def _qq_floor(q: float) -> float:
-    """(q; q)_inf deflated by 1e-12 relative, so dividing by it keeps a tail bound rigorous; q is validated."""
-    qq_lo = _qq_prefix(q)[-1] * (1.0 - 1e-12)
+def _entire_sums(w, q: float, tol: float, shift: int = 0, name: str = "series", var: str = "w"):
+    """Partial sums of sum_k C(k+s, s) q^((k+s)^2) w^k / (q; q)_(k+s), shift s = 0 or 1; real w stays real.
+
+    Shift 0 is the series of A_q and B_q; shift 1 is its derivative in w,
+    the same series one index on.  The shift sets only the start state and
+    the multiplier C(k+s, s), which grows by s per term.  The tail after
+    term k is at most the next term over (1 - ratio) (q; q)_inf, where
+    ratio = (1 + s) q^(2(k+s)+3) |w| <= 1/2 also covers the multiplier's
+    growth.  Only the steps whose tail is within tol are yielded, which
+    spares ``_certify`` a step per term; a non-finite w is refused under the
+    ``name`` and ``var`` that ``_certify`` gets.
+    """
+    if not cmath.isfinite(w):
+        raise OutOfRange(f"{name} argument must be finite, got |{var}|={abs(w)!r}")
+    qq_lo = _qq_prefix(q)[-1] * (1.0 - 1e-12)   # deflated, so dividing by it keeps a tail bound rigorous
     if qq_lo == 0.0:
         raise OutOfRange(f"q = {q!r} is too close to 1: (q;q)_inf underflows to 0")
-    return qq_lo
-
-
-def _entire_sums(w, q: float):
-    """Partial sums of sum_k q^(k^2) w^k / (q; q)_k; real w stays real."""
-    if not cmath.isfinite(w):
-        raise OutOfRange(f"series argument must be finite, got |w|={abs(w)!r}")
-    mag = abs(w)
-    qq_lo = _qq_floor(q)
+    # (1 + s) q is exact, 1 + s being 1 or 2: qodd * gq rounds the same real as (1 + s) * qodd * q
+    mag, q2, grow = abs(w), q * q, 1.0 + shift
+    gq, step = grow * q, grow - 1.0
     total = complex(0.0) if isinstance(w, complex) else 0.0
-    term_pow = 1.0   # q^(k^2)
     wk = complex(1.0) if isinstance(w, complex) else 1.0
-    poch = 1.0       # (q; q)_k
-    qodd = q         # q^(2k+1)
-    for k in range(_MAX_TERMS):
-        total += term_pow * wk / poch
-        head = term_pow * qodd * mag**(k + 1)    # q^((k+1)^2) |w|^(k+1)
-        ratio = qodd * q * q * mag               # q^(2k+3) |w|
-        yield total, head / ((1.0 - ratio) * qq_lo) if ratio <= 0.5 else math.nan
+    term_pow = q**shift               # q^((k+s)^2)
+    poch = 1.0 - shift * q            # (q; q)_(k+s)
+    qodd = q**(2 * shift + 1)         # q^(2(k+s)+1)
+    mult = 1.0                        # C(k+s, s)
+    for j in range(1, _MAX_TERMS + 1):   # j = k + 1
+        total += mult * term_pow * wk / poch
+        mult += step
+        head = mult * term_pow * qodd * mag**j   # C(k+1+s, s) q^((k+1+s)^2) |w|^(k+1)
+        ratio = qodd * gq * q * mag
+        if ratio <= 0.5 and (tail := head / ((1.0 - ratio) * qq_lo)) <= tol:
+            yield total, tail
         term_pow *= qodd
-        qodd *= q * q
+        qodd *= q2
         wk = wk * w
-        poch *= 1.0 - q**(k + 1)
-
-
-def _derivative_sums(z: complex, q: float):
-    """Partial sums of sum_{k>=1} k q^(k^2) (-1)^k z^(k-1) / (q; q)_k."""
-    if not cmath.isfinite(z):
-        raise OutOfRange(f"derivative series argument must be finite, got |z|={abs(z)!r}")
-    mag = abs(z)
-    qq_lo = _qq_floor(q)
-    total = complex(0.0)
-    term_pow = q        # q^(k^2) at k = 1
-    zk = complex(1.0)   # z^(k-1)
-    poch = 1.0 - q      # (q; q)_k
-    sign = -1.0
-    qodd = q**3         # q^(2k+1)
-    for k in range(1, _MAX_TERMS + 1):
-        total += sign * k * term_pow * zk / poch
-        head = (k + 1) * term_pow * qodd * mag**k   # (k+1) q^((k+1)^2) |z|^k
-        ratio = 2.0 * qodd * q * q * mag            # covers (j+1)/j growth too
-        yield total, head / ((1.0 - ratio) * qq_lo) if ratio <= 0.5 else math.nan
-        term_pow *= qodd
-        qodd *= q * q
-        zk = zk * z
-        poch *= 1.0 - q**(k + 1)
-        sign = -sign
+        poch *= 1.0 - q**(j + shift)
 
 
 def _theta_sums(z: complex, q: float):
@@ -104,7 +96,7 @@ def _theta_sums(z: complex, q: float):
 def ramanujan_Aq(z, q, tol: float = 1e-12) -> CertifiedValue:
     """Entire alternating series sum_k q^(k^2) (-z)^k / (q; q)_k."""
     w, qv = (-z if isinstance(z, complex) else complex(-z)), _valid_q(q)
-    return _certify(_entire_sums(w, qv), tol, "series", "w", w, qv)
+    return _certify(_entire_sums(w, qv, tol), tol, "series", "w", w, qv)
 
 
 def Bq(x: float, q, tol: float = 1e-12) -> CertifiedValue:
@@ -115,13 +107,18 @@ def Bq(x: float, q, tol: float = 1e-12) -> CertifiedValue:
     if x < 0.0:
         raise OutOfRange(f"x must be >= 0, got {x!r}")
     w, qv = float(x), _valid_q(q)
-    return _certify(_entire_sums(w, qv), tol, "series", "w", w, qv)
+    return _certify(_entire_sums(w, qv, tol), tol, "series", "w", w, qv)
 
 
 def Aq_derivative(z, q, tol: float = 1e-12) -> CertifiedValue:
-    """Term-wise derivative sum_{k>=1} k q^(k^2) (-1)^k z^(k-1) / (q; q)_k."""
-    zc, qv = complex(z), _valid_q(q)
-    return _certify(_derivative_sums(zc, qv), tol, "derivative series", "z", zc, qv)
+    """Term-wise derivative sum_{k>=1} k q^(k^2) (-1)^k z^(k-1) / (q; q)_k.
+
+    That is minus the shift-1 entire series at w = -z; 0.0 - value, not
+    -value, keeps a zero part of the sum +0.0.
+    """
+    w, qv = -complex(z), _valid_q(q)
+    cv = _certify(_entire_sums(w, qv, tol, 1, "derivative series", "z"), tol, "derivative series", "z", w, qv)
+    return CertifiedValue(0.0 - cv.value, cv.tail_bound)
 
 
 def theta_series(z, q, tol: float = 1e-12) -> CertifiedValue:

@@ -285,9 +285,9 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
     A row's term k sits at j = half + sign*k and is weighted by
     1/((q;q)_j (q;q)_(n-j)).  Without qq2 the term is divided by that
     product; with qq2 it is multiplied by their ratio, which is asserted in
-    (0, 1], and the weighted terms are asserted under ``bound(k, rows.wide)``
-    unless one left double range: its row's sum is then lost, and the
-    call reports that once the pass ends.
+    (0, 1], and every finite weighted term is asserted under
+    ``bound(k, rows.wide)``; a term that left double range loses its row's
+    sum, and the call reports that once the pass ends.
     The division and the ratio round differently, so each sum keeps its
     own.  The term then advances by w q^(2k+1), and a row retires when
     k_end <= k, or when k_break < k and either its next term underflows or
@@ -304,7 +304,8 @@ def _step(rows: _Rows, k: int, weights, qv: float, qq2: float | None = None, bou
         assert 0.0 < ratio.min(initial=1.0) and ratio.max(initial=0.0) <= 1.0   # initial=: s1 may have no rows at k = 0
         c_re, c_im = _mul(rows.t_re, rows.t_im, ratio, 0.0)
         mag = np.hypot(c_re, c_im)
-        assert (mag <= bound(k, rows.wide)).all() or not np.isfinite(mag).all()
+        # the finiteness test runs only on a step where some term is over the bound
+        assert (under := mag <= bound(k, rows.wide)).all() or (under | ~np.isfinite(mag)).all()
     rows.s_re, rows.s_im = rows.s_re + c_re, rows.s_im + c_im
     # w * qodd, its two "* 0.0" products hoisted out of the loop
     wq_re, wq_im = rows.w_re * rows.qodd - rows.wz_im, rows.wz_re + rows.w_im * rows.qodd

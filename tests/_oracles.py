@@ -17,6 +17,11 @@ kernels in ``swigert.swpoly`` must match bit for bit, so they keep the
 kernels' setup, weights read from the package's ``(q;q)_j``, underflow
 cut-offs and asserted term bound on purpose: the same rows stop at the same
 k and fail with the same error.
+
+``entire_sums`` and ``derivative_sums`` sum A_q (and B_q) and A_q' as two
+separate loops, tail bounds and refusals included.  The one generator
+``swigert.qspecial._entire_sums`` must match them bit for bit at shift 0
+and shift 1.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import json
 import math
 import sys
 
-from swigert.errors import BadTau, DomainTooLarge, PeakOverflow, ZeroArgument
-from swigert.qcore import _valid_q, qpoch_q_n, qq_infinity
+from swigert.errors import BadTau, DomainTooLarge, OutOfRange, PeakOverflow, ZeroArgument
+from swigert.qcore import _MAX_TERMS, _qq_prefix, _valid_q, qpoch_q_n, qq_infinity
 from swigert.scaling import Scaling
 from swigert.swpoly import SplitSumResult
 
@@ -77,6 +82,60 @@ def aq_derivative_series(z, q: float, terms: int = 60) -> complex:
         k * q ** (k * k) * (-1.0) ** k * complex(z) ** (k - 1) / qpoch_product(q, q, k)
         for k in range(1, terms)
     )
+
+
+def _qq_floor(q: float) -> float:
+    """(q; q)_inf deflated by 1e-12 relative, so dividing by it keeps a tail bound rigorous; q is validated."""
+    qq_lo = _qq_prefix(q)[-1] * (1.0 - 1e-12)
+    if qq_lo == 0.0:
+        raise OutOfRange(f"q = {q!r} is too close to 1: (q;q)_inf underflows to 0")
+    return qq_lo
+
+
+def entire_sums(w, q: float):
+    """Partial sums of sum_k q^(k^2) w^k / (q; q)_k; real w stays real."""
+    if not cmath.isfinite(w):
+        raise OutOfRange(f"series argument must be finite, got |w|={abs(w)!r}")
+    mag = abs(w)
+    qq_lo = _qq_floor(q)
+    total = complex(0.0) if isinstance(w, complex) else 0.0
+    term_pow = 1.0   # q^(k^2)
+    wk = complex(1.0) if isinstance(w, complex) else 1.0
+    poch = 1.0       # (q; q)_k
+    qodd = q         # q^(2k+1)
+    for k in range(_MAX_TERMS):
+        total += term_pow * wk / poch
+        head = term_pow * qodd * mag**(k + 1)    # q^((k+1)^2) |w|^(k+1)
+        ratio = qodd * q * q * mag               # q^(2k+3) |w|
+        yield total, head / ((1.0 - ratio) * qq_lo) if ratio <= 0.5 else math.nan
+        term_pow *= qodd
+        qodd *= q * q
+        wk = wk * w
+        poch *= 1.0 - q**(k + 1)
+
+
+def derivative_sums(z: complex, q: float):
+    """Partial sums of sum_{k>=1} k q^(k^2) (-1)^k z^(k-1) / (q; q)_k."""
+    if not cmath.isfinite(z):
+        raise OutOfRange(f"derivative series argument must be finite, got |z|={abs(z)!r}")
+    mag = abs(z)
+    qq_lo = _qq_floor(q)
+    total = complex(0.0)
+    term_pow = q        # q^(k^2) at k = 1
+    zk = complex(1.0)   # z^(k-1)
+    poch = 1.0 - q      # (q; q)_k
+    sign = -1.0
+    qodd = q**3         # q^(2k+1)
+    for k in range(1, _MAX_TERMS + 1):
+        total += sign * k * term_pow * zk / poch
+        head = (k + 1) * term_pow * qodd * mag**k   # (k+1) q^((k+1)^2) |z|^k
+        ratio = 2.0 * qodd * q * q * mag            # covers (j+1)/j growth too
+        yield total, head / ((1.0 - ratio) * qq_lo) if ratio <= 0.5 else math.nan
+        term_pow *= qodd
+        qodd *= q * q
+        zk = zk * z
+        poch *= 1.0 - q**(k + 1)
+        sign = -sign
 
 
 def theta_symmetric(z, q: float, terms: int = 60) -> complex:

@@ -187,6 +187,17 @@ class TestPochTailRemainders:
         with pytest.raises(HypothesisViolated):
             poch_tail_remainders(1.0, 0.5, 0)
 
+    @pytest.mark.parametrize("a,q,n", [
+        (0.9, 0.999, 0),        # the R2 denominator (a; q)_inf underflows to 0
+        (0.1, 0.9999, 1),       # (a q; q)_inf underflows to 0
+        (0.7168273838939828, 0.9987453578114515, 16),   # R2 itself overflows in expm1
+        (0.72, 0.9987, 16),     # the R2 bound overflows to inf
+    ])
+    def test_near_q_one_refused(self, a, q, n):
+        with pytest.raises(OutOfRange) as exc:
+            poch_tail_remainders(a, q, n)
+        assert str(exc.value) == f"remainders or their bounds leave double range for a={a!r}, q={q!r}, n={n}"
+
 
 def test_qq_infinity_matches_product():
     for q in (0.2, 0.5, 0.8):

@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from swigert.errors import OutOfRange, ZeroArgument
-from swigert.qcore import qpoch_infinite
+from swigert.qcore import _certify, _valid_q, qpoch_infinite
 from swigert.qspecial import (
     Aq_derivative,
     Bq,
@@ -14,7 +15,7 @@ from swigert.qspecial import (
     theta_series,
 )
 
-from _oracles import aq_derivative_series, aq_series, theta_symmetric
+from _oracles import aq_derivative_series, aq_series, derivative_sums, entire_sums, theta_symmetric
 
 
 def random_annulus(rng, lo=0.25, hi=4.0):
@@ -339,3 +340,54 @@ def test_tiny_theta_argument_keeps_its_path():
     with pytest.raises(OutOfRange) as exc:
         theta_series(1e-320, 0.5)
     assert str(exc.value) == "theta series did not certify within 100000 terms"
+
+
+def _outcome(series, *args):
+    """repr of a certified value and its tail, or the text of its OutOfRange."""
+    try:
+        cv = series(*args)
+    except OutOfRange as exc:
+        return str(exc)
+    return repr(cv.value), repr(cv.tail_bound)
+
+
+def _oracle_aq(z, q, tol):
+    w, qv = (-z if isinstance(z, complex) else complex(-z)), _valid_q(q)
+    return _certify(entire_sums(w, qv), tol, "series", "w", w, qv)
+
+
+def _oracle_bq(x, q, tol):
+    w, qv = float(x), _valid_q(q)
+    return _certify(entire_sums(w, qv), tol, "series", "w", w, qv)
+
+
+def _oracle_derivative(z, q, tol):
+    zc, qv = complex(z), _valid_q(q)
+    return _certify(derivative_sums(zc, qv), tol, "derivative series", "z", zc, qv)
+
+
+# 13 q values, so each (q;q) prefix is built once within the cache; (q;q)_inf is 1.5e-323 at q = 0.998
+# and underflows to 0 at q = 0.9995, where every sum is refused.
+ORACLE_QS = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.97, 0.99, 0.995, 0.998, 0.9995)
+NON_FINITE = (math.nan, math.inf, -math.inf,
+              complex(math.nan, 1.0), complex(0.0, math.inf), complex(-math.inf, math.nan))
+
+
+def test_entire_sums_match_reference_loops():
+    # the one shifted generator against the two separate loops of _oracles: values, tails and error texts,
+    # bit for bit
+    rng = random.Random(30)
+    for _ in range(3000):
+        kind = rng.random()
+        if kind < 0.03:
+            z = rng.choice(NON_FINITE)
+        elif kind < 0.23:
+            z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:
+            z = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
+        q = rng.choice(ORACLE_QS)
+        tol = rng.choice((math.nan, 0.0)) if rng.random() < 0.03 else 10.0 ** rng.uniform(-15.0, -6.0)
+        x = abs(z)
+        assert _outcome(ramanujan_Aq, z, q, tol) == _outcome(_oracle_aq, z, q, tol)
+        assert _outcome(Bq, x, q, tol) == _outcome(_oracle_bq, x, q, tol)
+        assert _outcome(Aq_derivative, z, q, tol) == _outcome(_oracle_derivative, z, q, tol)

@@ -527,6 +527,24 @@ class TestRetirement:
         assert len(live) <= 32 // 2 and sum(live) <= 11_939 // 2
 
 
+def test_term_bound_checked_on_finite_rows(monkeypatch):
+    # This sweep loses rows to overflow from n = 31: at k = 23 and 24 some terms are finite and some are
+    # not.  A bound planted 1e-300 times too small at those two steps must still trip on the finite ones.
+    term_bound = swpoly._term_bound
+
+    def planted(k, log_mag, log_q, guard_pow):
+        if k in (23, 24):
+            return math.exp(k * log_mag + k * (k - guard_pow) * log_q + math.log(1e-300))
+        return term_bound(k, log_mag, log_q, guard_pow)
+
+    args = (list(range(1, 200)), None, 1e-20, make_scaling("-1/2", "1/4"), 0.5)
+    with pytest.raises(OutOfRange, match="split sum leaves double range at n=31"):
+        _split_sums(*args)
+    monkeypatch.setattr(swpoly, "_term_bound", planted)
+    with pytest.raises(AssertionError):
+        _split_sums(*args)
+
+
 # A pair whose complex128 product from numpy differs from CPython's in the last
 # bit of the imaginary part on AVX-512 hosts with FMA, where numpy fuses the
 # multiply-add.  The kernels keep real and imaginary parts as separate float64
